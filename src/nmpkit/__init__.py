@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 from .decompose import (
     ApproxResult,
     DecompositionError,
+    DecompositionInvariantError,
     DecompositionTrace,
     ThrillExtraction,
     approx_nmp,

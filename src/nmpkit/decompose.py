@@ -75,12 +75,12 @@ def extract_thrill(
     if side is Side.LEFT:
         if len(v) != q * len(u):
             raise ValueError(f"X-side thrill needs |V| = q*|U|; got {len(v)} != {q}*{len(u)}")
-        anchors, leaves_pool, rows = u.members, v.members, g.adj
+        anchors, leaves_pool, row = u.members, v.members, g.neighbors
         free_bound = g.n
     else:
         if len(u) != q * len(v):
             raise ValueError(f"Y-side thrill needs |U| = q*|V|; got {len(u)} != {q}*{len(v)}")
-        anchors, leaves_pool, rows = v.members, u.members, g.radj
+        anchors, leaves_pool, row = v.members, u.members, g.rneighbors
         free_bound = g.k
 
     free = bytearray(free_bound)
@@ -90,7 +90,7 @@ def extract_thrill(
     failed: list[int] = []
     for a in anchors:
         picked: list[int] = []
-        for w in rows[a]:
+        for w in row(a).tolist():
             if free[w]:
                 picked.append(w)
                 if len(picked) == q:
@@ -103,6 +103,7 @@ def extract_thrill(
             failed.append(a)
     leftover_leaves = [w for w in leaves_pool if free[w]]
     thrill = Thrill(side=side, q=q, fans=tuple(fans))
+    thrill.validate()
     if side is Side.LEFT:
         a_set, b_set = left_set(failed), right_set(leftover_leaves)
     else:
@@ -121,6 +122,10 @@ class DecompositionError(ValueError):
             f"stage {stage}: padding set needs {needed} fresh vertices, only "
             f"{available} available (graph too small or too corrupted)"
         )
+
+
+class DecompositionInvariantError(ValueError):
+    """The staged decomposition broke one of its own bookkeeping identities."""
 
 
 @dataclass(frozen=True)
@@ -252,12 +257,10 @@ def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace
         # Every active vertex is in a surviving copy or deleted, never both.
         active_l = r[i + 1] if not grow_right else r[i]
         active_r = r[i + 1] if grow_right else r[i]
-        assert (
-            sum(len(c.left) for c in copies) + len(deleted_x) == t * active_l
-        ), f"stage {i}: left conservation broken"
-        assert (
-            sum(len(c.right) for c in copies) + len(deleted_y) == t * active_r
-        ), f"stage {i}: right conservation broken"
+        if sum(len(c.left) for c in copies) + len(deleted_x) != t * active_l:
+            raise DecompositionInvariantError(f"stage {i}: left conservation broken")
+        if sum(len(c.right) for c in copies) + len(deleted_y) != t * active_r:
+            raise DecompositionInvariantError(f"stage {i}: right conservation broken")
 
         records.append(
             StageRecord(
@@ -289,7 +292,8 @@ def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace
         )
     d_x_set = left_set(deleted_x)
     d_y_set = right_set(deleted_y)
-    assert (k - len(d_x_set)) * L == (n - len(d_y_set)) * ell
+    if (k - len(d_x_set)) * L != (n - len(d_y_set)) * ell:
+        raise DecompositionInvariantError("remainder sizes are not in the ratio ell:L")
     return DecompositionTrace(
         k=k,
         n=n,

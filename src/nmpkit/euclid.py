@@ -262,12 +262,23 @@ def _tree_center(adj: list[list[int]]) -> list[int]:
 
 
 def _ahu_code(root: int, adj: list[list[int]], k: int) -> str:
-    def code(v: int, parent: int) -> str:
-        side = "L" if v < k else "R"
-        children = sorted(code(w, v) for w in adj[v] if w != parent)
-        return "(" + side + "".join(children) + ")"
-
-    return code(root, -1)
+    # Iterative: a path-like tree is thousands of vertices deep. Reversed
+    # preorder visits every child before its parent.
+    parent = [-1] * len(adj)
+    preorder: list[int] = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                stack.append(w)
+    code: list[str] = [""] * len(adj)
+    for v in reversed(preorder):
+        children = sorted(code[w] for w in adj[v] if w != parent[v])
+        code[v] = "(" + ("L" if v < k else "R") + "".join(children) + ")"
+    return code[root]
 
 
 def trees_isomorphic(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:

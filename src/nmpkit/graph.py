@@ -2,7 +2,11 @@
 
 Vertices are 0-based on both sides. The left side X has k vertices, the
 right side Y has n vertices. Adjacency is stored in both directions as
-sorted tuples; graphs are immutable after construction.
+compressed sparse rows of int64 numpy arrays: the right neighbors of x are
+indices[indptr[x]:indptr[x+1]], sorted, and rindptr/rindices hold the
+transpose. Every graph is built by one private constructor that range-checks
+the endpoints, rejects repeated edges and sorts the edge keys x*n + y; the
+arrays are read-only, so graphs are immutable after construction.
 
 File format (line-oriented UTF-8):
     # optional comment lines
@@ -20,9 +24,30 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 class FormatError(ValueError):
     """Malformed input file (graph or star-array)."""
+
+
+class _BadEdge(ValueError):
+    """Edge number `index` of a construction's input is out of range or a repeat.
+
+    The message is in from_edges' words; parse_graph rewords it with the
+    edge's line number.
+    """
+
+    def __init__(self, index: int, kind: str, x: int, y: int, k: int, n: int):
+        self.index = index
+        self.kind = kind
+        super().__init__(
+            {
+                "left": f"left index {x} out of range [0, {k})",
+                "right": f"right index {y} out of range [0, {n})",
+                "duplicate": f"duplicate edge ({x}, {y})",
+            }[kind]
+        )
 
 
 class Side(Enum):
@@ -65,144 +90,244 @@ def right_set(members: Iterable[int]) -> VertexSet:
     return VertexSet(Side.RIGHT, tuple(members))
 
 
-@dataclass(frozen=True)
+def _ids(s: VertexSet) -> np.ndarray:
+    return np.array(s.members, dtype=np.int64)
+
+
+def _row_starts(rows: np.ndarray, count: int) -> np.ndarray:
+    """CSR row pointer of `count` rows from the row index of every entry."""
+    ptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=count), out=ptr[1:])
+    return ptr
+
+
+def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of `rows`, row after row, and each row's length."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return shift + np.arange(len(shift)), counts
+
+
+@dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Immutable bipartite graph with adjacency stored in both directions."""
+    """Immutable bipartite graph with CSR adjacency in both directions."""
 
     k: int
     n: int
-    adj: tuple[tuple[int, ...], ...]   # left -> sorted right neighbors
-    radj: tuple[tuple[int, ...], ...]  # right -> sorted left neighbors
-    edge_count: int
+    indptr: np.ndarray    # left x -> its right neighbors indices[indptr[x]:indptr[x+1]]
+    indices: np.ndarray   # sorted within each row
+    rindptr: np.ndarray   # right y -> its left neighbors rindices[rindptr[y]:rindptr[y+1]]
+    rindices: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.indptr, self.indices, self.rindptr, self.rindices):
+            a.flags.writeable = False
+
+    @classmethod
+    def _build(cls, k: int, n: int, xs, ys) -> "BipartiteGraph":
+        """The one construction and validation path.
+
+        Raises _BadEdge for the first edge, in input order, that is out of
+        range or repeats an earlier one.
+        """
+        if k < 1 or n < 1:
+            raise ValueError(f"sides must be nonempty, got k={k}, n={n}")
+        if k * n > _INT64_MAX:
+            raise ValueError(f"k*n = {k * n} exceeds the int64 edge keys")
+        xs = np.asarray(xs, dtype=np.int64)
+        ys = np.asarray(ys, dtype=np.int64)
+        bad = (xs < 0) | (xs >= k) | (ys < 0) | (ys >= n)
+        first_bad = int(bad.argmax()) if bad.any() else len(xs)
+        keys = xs[:first_bad] * n + ys[:first_bad]
+        fwd = np.sort(keys)
+        if (fwd[1:] == fwd[:-1]).any():
+            order = np.argsort(keys, kind="stable")
+            i = int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
+            raise _BadEdge(i, "duplicate", int(xs[i]), int(ys[i]), k, n)
+        if first_bad < len(xs):
+            x, y = int(xs[first_bad]), int(ys[first_bad])
+            raise _BadEdge(first_bad, "left" if not 0 <= x < k else "right", x, y, k, n)
+        rev = np.sort(ys * k + xs)
+        return cls(k, n, _row_starts(xs, k), fwd % n, _row_starts(ys, n), rev % k)
 
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        if k < 1 or n < 1:
-            raise ValueError(f"sides must be nonempty, got k={k}, n={n}")
-        adj: list[list[int]] = [[] for _ in range(k)]
-        radj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        m = 0
-        for x, y in edges:
-            if not (0 <= x < k):
-                raise ValueError(f"left index {x} out of range [0, {k})")
-            if not (0 <= y < n):
-                raise ValueError(f"right index {y} out of range [0, {n})")
-            if (x, y) in seen:
-                raise ValueError(f"duplicate edge ({x}, {y})")
-            seen.add((x, y))
-            adj[x].append(y)
-            radj[y].append(x)
-            m += 1
-        return cls(
-            k=k,
-            n=n,
-            adj=tuple(tuple(sorted(row)) for row in adj),
-            radj=tuple(tuple(sorted(row)) for row in radj),
-            edge_count=m,
-        )
+        pairs = np.array(list(edges), dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (x, y) pairs")
+        return cls._build(k, n, pairs[:, 0], pairs[:, 1])
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "BipartiteGraph":
-        """Build from a boolean k x n adjacency matrix (no duplicate risk)."""
-        k, n = mat.shape
-        if k < 1 or n < 1:
-            raise ValueError("sides must be nonempty")
-        adj = tuple(tuple(np.flatnonzero(mat[i]).tolist()) for i in range(k))
-        radj = tuple(tuple(np.flatnonzero(mat[:, j]).tolist()) for j in range(n))
-        return cls(k=k, n=n, adj=adj, radj=radj, edge_count=int(mat.sum()))
+        """Build from a boolean k x n adjacency matrix."""
+        k, n = np.shape(mat)
+        xs, ys = np.nonzero(mat)
+        return cls._build(k, n, xs, ys)
 
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        return self.adj[x]
+    @property
+    def edge_count(self) -> int:
+        return len(self.indices)
 
-    def rneighbors(self, y: int) -> tuple[int, ...]:
-        return self.radj[y]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BipartiteGraph):
+            return NotImplemented
+        return (
+            (self.k, self.n) == (other.k, other.n)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.n, self.indptr.tobytes(), self.indices.tobytes()))
+
+    def neighbors(self, x: int) -> np.ndarray:
+        """Sorted right neighbors of left vertex x, as a read-only view."""
+        return self.indices[self.indptr[x]:self.indptr[x + 1]]
+
+    def rneighbors(self, y: int) -> np.ndarray:
+        """Sorted left neighbors of right vertex y, as a read-only view."""
+        return self.rindices[self.rindptr[y]:self.rindptr[y + 1]]
 
     def degree(self, x: int) -> int:
-        return len(self.adj[x])
+        return int(self.indptr[x + 1] - self.indptr[x])
 
     def rdegree(self, y: int) -> int:
-        return len(self.radj[y])
+        return int(self.rindptr[y + 1] - self.rindptr[y])
 
     def has_edge(self, x: int, y: int) -> bool:
-        row = self.adj[x]
-        i = bisect_left(row, y)
-        return i < len(row) and row[i] == y
+        row = self.neighbors(x)
+        i = int(row.searchsorted(y))
+        return i < len(row) and bool(row[i] == y)
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """All edges as (left, right) int64 arrays in (x, y) sorted order."""
+        return np.repeat(np.arange(self.k), np.diff(self.indptr)), self.indices
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges in (x, y) sorted order."""
-        for x, row in enumerate(self.adj):
-            for y in row:
-                yield (x, y)
+        xs, ys = self.edge_arrays()
+        return zip(xs.tolist(), ys.tolist())
 
     def swap_sides(self) -> "BipartiteGraph":
-        return BipartiteGraph(self.n, self.k, self.radj, self.adj, self.edge_count)
+        return BipartiteGraph(self.n, self.k, self.rindptr, self.rindices, self.indptr, self.indices)
 
     def with_edge(self, x: int, y: int) -> "BipartiteGraph":
         """New graph with one extra edge (error if it already exists)."""
-        return BipartiteGraph.from_edges(self.k, self.n, list(self.edges()) + [(x, y)])
+        xs, ys = self.edge_arrays()
+        return BipartiteGraph._build(self.k, self.n, np.append(xs, x), np.append(ys, y))
 
     def matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (k x n)."""
         mat = np.zeros((self.k, self.n), dtype=bool)
-        for x, row in enumerate(self.adj):
-            if row:
-                mat[x, list(row)] = True
+        mat[self.edge_arrays()] = True
         return mat
 
 
+def _header_record(parts: list[str], line: str, lineno: int, have_header: bool) -> tuple[int, int]:
+    """(k, n) from a header record; any other record reaching here is an error."""
+    if parts[0] == "p":
+        if have_header:
+            raise FormatError(f"line {lineno}: repeated header")
+        if len(parts) != 4 or parts[1] != "bipartite":
+            raise FormatError(f"line {lineno}: malformed header {line!r}")
+        try:
+            k, n = int(parts[2]), int(parts[3])
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer sizes in header") from None
+        if k < 1 or n < 1:
+            raise FormatError(f"line {lineno}: sizes must be >= 1, got k={k}, n={n}")
+        return k, n
+    if parts[0] == "e":
+        if not have_header:
+            raise FormatError(f"line {lineno}: edge before header")
+        raise FormatError(f"line {lineno}: malformed edge line {line!r}")
+    raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _token_ints(tokens: list[str]) -> np.ndarray:
+    """int() of every token; a value beyond int64 becomes -1, out of range either way."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        return np.array(
+            [v if -_INT64_MAX <= v <= _INT64_MAX else -1 for v in map(int, tokens)],
+            dtype=np.int64,
+        )
+
+
+def _parsed_graph(k: int, n: int, xs: list[str], ys: list[str], linenos: list[int]) -> BipartiteGraph:
+    """Graph of the gathered edge records; the first bad one is named with its line."""
+    cut = len(xs)
+    try:
+        ax, ay = _token_ints(xs), _token_ints(ys)
+    except ValueError:
+        cut = next(i for i, pair in enumerate(zip(xs, ys)) if not all(map(_is_int, pair)))
+        ax, ay = _token_ints(xs[:cut]), _token_ints(ys[:cut])
+    try:
+        g = BipartiteGraph._build(k, n, ax, ay)
+    except _BadEdge as exc:
+        i = exc.index
+        x, y = int(xs[i]), int(ys[i])
+        reason = {
+            "left": f"left index {x} out of range, k={k}",
+            "right": f"right index {y} out of range, n={n}",
+            "duplicate": f"duplicate edge ({x}, {y})",
+        }[exc.kind]
+        raise FormatError(f"line {linenos[i]}: {reason}") from None
+    if cut < len(xs):
+        raise FormatError(f"line {linenos[cut]}: non-integer edge endpoints")
+    return g
+
+
 def parse_graph(text: str | bytes) -> BipartiteGraph:
-    """Parse the graph file format; errors carry the offending line number."""
+    """Parse the graph file format; errors carry the offending line number.
+
+    Edge records are gathered as tokens and checked together once the text
+    is read. When a later line is malformed, the gathered edges are checked
+    first, so the error always names the first bad line.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     k = n = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    xs: list[str] = []
+    ys: list[str] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "p":
-            if k is not None:
-                raise FormatError(f"line {lineno}: repeated header")
-            if len(parts) != 4 or parts[1] != "bipartite":
-                raise FormatError(f"line {lineno}: malformed header {line!r}")
-            try:
-                k, n = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer sizes in header") from None
-            if k < 1 or n < 1:
-                raise FormatError(f"line {lineno}: sizes must be >= 1, got k={k}, n={n}")
-        elif parts[0] == "e":
-            if k is None:
-                raise FormatError(f"line {lineno}: edge before header")
-            if len(parts) != 3:
-                raise FormatError(f"line {lineno}: malformed edge line {line!r}")
-            try:
-                x, y = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer edge endpoints") from None
-            if not (0 <= x < k):
-                raise FormatError(f"line {lineno}: left index {x} out of range, k={k}")
-            if not (0 <= y < n):
-                raise FormatError(f"line {lineno}: right index {y} out of range, n={n}")
-            if (x, y) in seen:
-                raise FormatError(f"line {lineno}: duplicate edge ({x}, {y})")
-            seen.add((x, y))
-            edges.append((x, y))
-        else:
-            raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
+        if parts[0] == "e" and len(parts) == 3 and k is not None:
+            xs.append(parts[1])
+            ys.append(parts[2])
+            linenos.append(lineno)
+            continue
+        try:
+            k, n = _header_record(parts, raw.strip(), lineno, k is not None)
+        except FormatError:
+            if xs:
+                _parsed_graph(k, n, xs, ys, linenos)
+            raise
     if k is None:
         raise FormatError("missing header line 'p bipartite <k> <n>'")
-    return BipartiteGraph.from_edges(k, n, edges)
+    return _parsed_graph(k, n, xs, ys, linenos)
 
 
 def serialize_graph(g: BipartiteGraph, comments: Iterable[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(f"p bipartite {g.k} {g.n}")
-    lines.extend(f"e {x} {y}" for x, y in g.edges())
-    return "\n".join(lines) + "\n"
+    pairs = np.column_stack(g.edge_arrays()).ravel().tolist()
+    return "\n".join(lines) + "\n" + ("e %d %d\n" * g.edge_count) % tuple(pairs)
 
 
 def load_graph(path: str) -> BipartiteGraph:
@@ -225,22 +350,25 @@ def _check_side(g: BipartiteGraph, s: VertexSet, side: Side) -> None:
 
 def neighborhood(g: BipartiteGraph, s: VertexSet) -> VertexSet:
     """N(S): union of neighbor sets, on the opposite side."""
-    bound = g.k if s.side is Side.LEFT else g.n
-    if s.members and s.members[-1] >= bound:
-        raise ValueError(f"vertex {s.members[-1]} out of range for {s.side.value} side ({bound})")
-    rows = g.adj if s.side is Side.LEFT else g.radj
-    out: set[int] = set()
-    for v in s.members:
-        out.update(rows[v])
-    return VertexSet(s.side.other(), tuple(out))
+    _check_side(g, s, s.side)
+    if s.side is Side.LEFT:
+        indptr, indices, other = g.indptr, g.indices, g.n
+    else:
+        indptr, indices, other = g.rindptr, g.rindices, g.k
+    pos, _ = _row_positions(indptr, _ids(s))
+    mark = np.zeros(other, dtype=bool)
+    mark[indices[pos]] = True
+    return VertexSet(s.side.other(), tuple(np.flatnonzero(mark).tolist()))
 
 
 def edge_count_between(g: BipartiteGraph, a: VertexSet, b: VertexSet) -> int:
     """e(A, B): number of edges with one endpoint in each."""
     _check_side(g, a, Side.LEFT)
     _check_side(g, b, Side.RIGHT)
-    bset = set(b.members)
-    return sum(1 for x in a.members for y in g.adj[x] if y in bset)
+    in_b = np.zeros(g.n, dtype=bool)
+    in_b[_ids(b)] = True
+    pos, _ = _row_positions(g.indptr, _ids(a))
+    return int(np.count_nonzero(in_b[g.indices[pos]]))
 
 
 def induced_subgraph(
@@ -258,14 +386,14 @@ def induced_subgraph(
     right_orig = b.members
     if not left_orig or not right_orig:
         return None, left_orig, right_orig
-    right_new = {y: j for j, y in enumerate(right_orig)}
-    edges = []
-    for i, x in enumerate(left_orig):
-        for y in g.adj[x]:
-            j = right_new.get(y)
-            if j is not None:
-                edges.append((i, j))
-    return BipartiteGraph.from_edges(len(left_orig), len(right_orig), edges), left_orig, right_orig
+    right_new = np.full(g.n, -1, dtype=np.int64)
+    right_new[_ids(b)] = np.arange(len(right_orig))
+    pos, counts = _row_positions(g.indptr, _ids(a))
+    xs = np.repeat(np.arange(len(left_orig)), counts)
+    ys = right_new[g.indices[pos]]
+    keep = ys >= 0
+    sub = BipartiteGraph._build(len(left_orig), len(right_orig), xs[keep], ys[keep])
+    return sub, left_orig, right_orig
 
 
 def is_connected(g: BipartiteGraph) -> bool:
@@ -279,13 +407,13 @@ def is_connected(g: BipartiteGraph) -> bool:
     while stack:
         side, v = stack.pop()
         if side is Side.LEFT:
-            for y in g.adj[v]:
+            for y in g.neighbors(v).tolist():
                 if not seen_r[y]:
                     seen_r[y] = True
                     count += 1
                     stack.append((Side.RIGHT, y))
         else:
-            for x in g.radj[v]:
+            for x in g.rneighbors(v).tolist():
                 if not seen_l[x]:
                     seen_l[x] = True
                     count += 1
@@ -297,9 +425,8 @@ def disjoint_copies(g: BipartiteGraph, copies: int) -> BipartiteGraph:
     """Disjoint union of `copies` copies of g (copy c offset by c*k, c*n)."""
     if copies < 1:
         raise ValueError("need at least one copy")
-    edges = [
-        (x + c * g.k, y + c * g.n)
-        for c in range(copies)
-        for x, y in g.edges()
-    ]
-    return BipartiteGraph.from_edges(g.k * copies, g.n * copies, edges)
+    xs, ys = g.edge_arrays()
+    shift = np.arange(copies)[:, None]
+    return BipartiteGraph._build(
+        g.k * copies, g.n * copies, (xs + shift * g.k).ravel(), (ys + shift * g.n).ravel()
+    )

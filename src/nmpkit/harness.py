@@ -244,7 +244,7 @@ def greedy_matching_value(
         raise ValueError("r must be >= 1")
     _check_perm(sigma, g.k, "sigma")
     _check_perm(pi, g.n, "pi")
-    nbr = [set(g.adj[x]) for x in range(g.k)]
+    nbr = [set(g.neighbors(x).tolist()) for x in range(g.k)]
     claimed = [False] * g.n
     full = 0
     for x in sigma:

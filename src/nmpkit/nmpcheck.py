@@ -54,37 +54,35 @@ class IndependentPair:
     i_y: VertexSet
 
 
-def _build_network(g: BipartiteGraph) -> tuple[FlowNetwork, int, int, list[tuple[int, int]]]:
-    k, n = g.k, g.n
+def _build_network(g: BipartiteGraph) -> tuple[FlowNetwork, int, int]:
+    k, n, m = g.k, g.n, g.edge_count
     d = math.gcd(k, n)
     row_sum = n // d
     col_sum = k // d
-    # Nodes: 0 source, 1..k lefts, k+1..k+n rights, k+n+1 sink.
-    net = FlowNetwork(node_count=k + n + 2, source=0, sink=k + n + 1)
-    for x in range(k):
-        net.add_arc(0, 1 + x, row_sum)
-    edge_cap = min(row_sum, col_sum)
-    edge_arcs: list[tuple[int, int]] = []
-    for x, y in g.edges():
-        net.add_arc(1 + x, 1 + k + y, edge_cap)
-        edge_arcs.append((x, y))
-    for y in range(n):
-        net.add_arc(1 + k + y, k + n + 1, col_sum)
-    return net, row_sum, col_sum, edge_arcs
+    # Nodes: 0 source, 1..k lefts, k+1..k+n rights, k+n+1 sink. Arcs: source
+    # arcs, one arc per edge in (x, y) order, sink arcs. They are built in
+    # bulk rather than by add_arc, whose checks they pass by construction.
+    xs, ys = g.edge_arrays()
+    net = FlowNetwork(
+        node_count=k + n + 2,
+        source=0,
+        sink=k + n + 1,
+        tails=[0] * k + (xs + 1).tolist() + list(range(k + 1, k + n + 1)),
+        heads=list(range(1, k + 1)) + (ys + (k + 1)).tolist() + [k + n + 1] * n,
+        caps=[row_sum] * k + [min(row_sum, col_sum)] * m + [col_sum] * n,
+    )
+    return net, row_sum, col_sum
 
 
 def check_nmp(g: BipartiteGraph) -> NMPCertificate:
     """Decide NMP exactly; return a multiplicity function or a witness."""
     if g.k < 1 or g.n < 1:
         raise ValueError("check_nmp requires nonempty sides")
-    net, row_sum, col_sum, edge_arcs = _build_network(g)
+    net, row_sum, col_sum = _build_network(g)
     res = max_flow(net)
     target = g.k * row_sum
     if res.value == target:
-        mult = {
-            edge_arcs[i]: res.arc_flow[g.k + i]
-            for i in range(len(edge_arcs))
-        }
+        mult = dict(zip(g.edges(), res.arc_flow[g.k:g.k + g.edge_count]))
         return NMPCertificate(
             verdict=Verdict.HAS_NMP, row_sum=row_sum, col_sum=col_sum, multiplicity=mult
         )
@@ -111,10 +109,11 @@ def validate_certificate(g: BipartiteGraph, cert: NMPCertificate) -> None:
         mult = cert.multiplicity
         if mult is None:
             raise ValueError("HasNMP certificate missing multiplicity function")
+        nbrs = [set(g.neighbors(x).tolist()) for x in range(g.k)]
         rows = [0] * g.k
         cols = [0] * g.n
         for (x, y), m in mult.items():
-            if not g.has_edge(x, y):
+            if y not in nbrs[x]:
                 raise ValueError(f"multiplicity on non-edge ({x}, {y})")
             if m < 0:
                 raise ValueError("negative multiplicity")
@@ -145,7 +144,7 @@ def nmp_oracle_bruteforce(g: BipartiteGraph) -> OracleResult:
     nbr_mask = [0] * k
     for x in range(k):
         m = 0
-        for y in g.adj[x]:
+        for y in g.neighbors(x).tolist():
             m |= 1 << y
         nbr_mask[x] = m
 
@@ -191,7 +190,7 @@ def kleitman_independent_check(g: BipartiteGraph, pair: IndependentPair) -> bool
         raise ValueError("IndependentPair must be (left set, right set)")
     ys = set(pair.i_y.members)
     for x in pair.i_x:
-        for y in g.adj[x]:
+        for y in g.neighbors(x).tolist():
             if y in ys:
                 raise ValueError(f"set is not independent: edge ({x}, {y}) inside it")
     return g.n * len(pair.i_x) + g.k * len(pair.i_y) <= g.n * g.k

@@ -368,7 +368,7 @@ def robust_delete(
         bad = [
             u
             for u in range(k)
-            if sum(1 for y in g.adj[u] if y in t_set) >= (degs[u] / n + t) * d_size
+            if sum(1 for y in g.neighbors(u).tolist() if y in t_set) >= (degs[u] / n + t) * d_size
         ]
         if len(bad) <= bad_bound:
             c_x = left_set(bad)

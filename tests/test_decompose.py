@@ -1,6 +1,12 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -8,6 +14,7 @@ import hypothesis.strategies as st
 from nmpkit import (
     BipartiteGraph,
     DecompositionError,
+    DecompositionInvariantError,
     Side,
     Verdict,
     approx_nmp,
@@ -23,6 +30,8 @@ from nmpkit import (
     right_set,
     verify_tree_factor,
 )
+import nmpkit
+from nmpkit import decompose
 from nmpkit.rng import SplitMix64, derive_seed
 
 from conftest import bipartite_graphs, complete_graph, remainder_and_factor
@@ -32,13 +41,13 @@ def max_thrill_size_oracle(g, u, v, q, side):
     """Exhaustive maximum q-thrill size (number of fans), tiny inputs only."""
     anchors = u.members if side is Side.LEFT else v.members
     pool = set(v.members if side is Side.LEFT else u.members)
-    rows = g.adj if side is Side.LEFT else g.radj
+    row = g.neighbors if side is Side.LEFT else g.rneighbors
 
     def best(i, free):
         if i == len(anchors):
             return 0
         skip = best(i + 1, free)
-        avail = [w for w in rows[anchors[i]] if w in free]
+        avail = [w for w in row(anchors[i]).tolist() if w in free]
         result = skip
         for combo in combinations(avail, q):
             result = max(result, 1 + best(i + 1, free - set(combo)))
@@ -96,7 +105,7 @@ def test_extract_thrill_invariants(g, q):
     assert len(v) - len(ext.B) == q * (len(u) - len(ext.A))
     bset = set(ext.B.members)
     for a in ext.A:
-        assert sum(1 for y in g.adj[a] if y in bset) < q
+        assert sum(1 for y in g.neighbors(a).tolist() if y in bset) < q
     # Greedy is maximal, never larger than the true maximum.
     if u_size <= 3 and q * u_size <= 6:
         maximum = max_thrill_size_oracle(g, u, v, q, Side.LEFT)
@@ -221,6 +230,67 @@ def test_decomposition_error_payload():
     err = DecompositionError(stage=3, needed=40, available=12)
     assert err.stage == 3
     assert "stage 3" in str(err) and "40" in str(err)
+
+
+def test_extract_thrill_rejects_a_thrill_that_reuses_a_leaf():
+    class RepeatedRow:
+        """A corrupt adjacency whose only row lists right vertex 0 twice."""
+
+        k, n = 1, 2
+
+        def neighbors(self, x):
+            return np.array([0, 0, 1])
+
+    with pytest.raises(ValueError, match="leaf 0 reused"):
+        extract_thrill(RepeatedRow(), left_set([0]), right_set([0, 1]), 2, Side.LEFT)
+
+
+def _decompose_with_a_leaf_both_used_and_deleted(monkeypatch):
+    """Run the decomposition with an extraction that also lists its first fan
+    leaf as a leftover, so that leaf is in a copy and deleted at once."""
+    real = decompose.extract_thrill
+
+    def leaky(g, u, v, q, side):
+        ext = real(g, u, v, q, side)
+        leaf = ext.thrill.fans[0].leaves[0]
+        if side is Side.LEFT:
+            return dataclasses.replace(ext, B=right_set(ext.B.members + (leaf,)))
+        return dataclasses.replace(ext, A=left_set(ext.A.members + (leaf,)))
+
+    monkeypatch.setattr(decompose, "extract_thrill", leaky)
+    euclid_factor_decompose(complete_graph(6, 10), 0.1)
+
+
+def test_broken_conservation_raises(monkeypatch):
+    with pytest.raises(DecompositionInvariantError, match="conservation broken"):
+        _decompose_with_a_leaf_both_used_and_deleted(monkeypatch)
+
+
+def test_broken_conservation_raises_under_python_O():
+    script = (
+        "import sys, pytest\n"
+        f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+        "import test_decompose as t\n"
+        "from nmpkit import DecompositionInvariantError\n"
+        "assert False, 'asserts must be off'\n"
+        "with pytest.MonkeyPatch.context() as mp:\n"
+        "    try:\n"
+        "        t._decompose_with_a_leaf_both_used_and_deleted(mp)\n"
+        "    except DecompositionInvariantError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(nmpkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "conservation broken" in out.stdout
 
 
 # ------------------------------------------------------------------ approx

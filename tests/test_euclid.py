@@ -149,6 +149,17 @@ def test_trees_isomorphic_distinguishes():
     assert not trees_isomorphic(t23, spider)
 
 
+def test_trees_isomorphic_on_a_deep_path():
+    # x0 - y0 - x1 - y1 - ... - y1499: 3000 vertices, deeper than the
+    # interpreter's recursion limit.
+    k = n = 1500
+    edges = [(i, i) for i in range(k)] + [(i + 1, i) for i in range(k - 1)]
+    path = BipartiteGraph.from_edges(k, n, edges)
+    assert trees_isomorphic(path, path)
+    bent = BipartiteGraph.from_edges(k, n, edges[:-1] + [(k - 1, 0)])
+    assert not trees_isomorphic(path, bent)
+
+
 def _factor_of_disjoint_copies(ell, L, copies):
     tree = build_euclidean_tree(ell, L).graph
     host = disjoint_copies(tree, copies)

@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -21,7 +22,7 @@ from conftest import bipartite_graphs, complete_graph
 def test_parse_basic():
     g = parse_graph("p bipartite 2 3\ne 0 0\ne 1 0\ne 0 1\ne 1 2")
     assert (g.k, g.n, g.edge_count) == (2, 3, 4)
-    assert g.adj == ((0, 1), (0, 2))
+    assert tuple(tuple(g.neighbors(x).tolist()) for x in range(g.k)) == ((0, 1), (0, 2))
 
 
 def test_parse_no_edges():
@@ -45,6 +46,9 @@ def test_parse_comments_and_blank_lines():
         ("p twopartite 2 3", "header"),
         ("p bipartite 2 3\nq 0 0", "unknown record"),
         ("", "missing header"),
+        ("p bipartite 2 3\ne 0 5\nbogus", "line 2: right index 5"),
+        ("p bipartite 2 3\ne 0 0\ne 0 x\ne 0 0", "line 3: non-integer"),
+        ("p bipartite 2 3\ne 99999999999999999999 0", "line 2: left index 99999999999999999999"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -55,6 +59,72 @@ def test_parse_errors(text, fragment):
 @given(bipartite_graphs())
 def test_serialize_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+@given(bipartite_graphs(), st.randoms(use_true_random=False))
+def test_every_construction_gives_the_same_graph(g, rnd):
+    edges = list(g.edges())
+    rnd.shuffle(edges)
+    assert BipartiteGraph.from_edges(g.k, g.n, edges) == g
+    assert BipartiteGraph.from_matrix(g.matrix()) == g
+    assert hash(BipartiteGraph.from_matrix(g.matrix())) == hash(g)
+    assert induced_subgraph(g, left_set(range(g.k)), right_set(range(g.n)))[0] == g
+    rows = [g.neighbors(x).tolist() for x in range(g.k)]
+    assert all(row == sorted(set(row)) for row in rows)
+    cols = [g.rneighbors(y).tolist() for y in range(g.n)]
+    assert cols == [[x for x in range(g.k) if y in rows[x]] for y in range(g.n)]
+
+
+def first_bad_edge(k, n, edges):
+    """Reference: the edge-by-edge check, as (index, kind) of the first bad edge."""
+    seen = set()
+    for i, (x, y) in enumerate(edges):
+        if not 0 <= x < k:
+            return i, "left"
+        if not 0 <= y < n:
+            return i, "right"
+        if (x, y) in seen:
+            return i, "duplicate"
+        seen.add((x, y))
+    return None
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.lists(st.tuples(st.integers(-2, 6), st.integers(-2, 6), st.booleans()), max_size=30),
+)
+def test_first_bad_edge_is_named_in_input_order(k, n, records):
+    edges = [(x, y) for x, y, _ in records]
+    lines = [f"p bipartite {k} {n}"]
+    edge_line = []
+    for x, y, commented in records:
+        if commented:
+            lines.append("# a comment")
+        lines.append(f"e {x} {y}")
+        edge_line.append(len(lines))
+    text = "\n".join(lines)
+    bad = first_bad_edge(k, n, edges)
+    if bad is None:
+        g = BipartiteGraph.from_edges(k, n, edges)
+        assert sorted(g.edges()) == sorted(edges) and parse_graph(text) == g
+        return
+    i, kind = bad
+    x, y = edges[i]
+    with pytest.raises(ValueError) as err:
+        BipartiteGraph.from_edges(k, n, edges)
+    assert str(err.value) == {
+        "left": f"left index {x} out of range [0, {k})",
+        "right": f"right index {y} out of range [0, {n})",
+        "duplicate": f"duplicate edge ({x}, {y})",
+    }[kind]
+    with pytest.raises(FormatError) as err:
+        parse_graph(text)
+    assert str(err.value) == f"line {edge_line[i]}: " + {
+        "left": f"left index {x} out of range, k={k}",
+        "right": f"right index {y} out of range, n={n}",
+        "duplicate": f"duplicate edge ({x}, {y})",
+    }[kind]
 
 
 @given(bipartite_graphs())
@@ -141,6 +211,11 @@ def test_induced_subgraph_empty_side():
 def test_duplicate_edges_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 0)])
+
+
+def test_sides_too_large_for_int64_edge_keys_rejected():
+    with pytest.raises(ValueError, match="int64"):
+        BipartiteGraph.from_edges(2**32, 2**32, [])
 
 
 def test_vertex_set_side_checks():

@@ -121,7 +121,7 @@ def test_star_two_disjoint_tree_patterns():
     for c in range(2):
         for i in range(2):
             row = ["0"] * 6
-            for y in t23.adj[i]:
+            for y in t23.neighbors(i).tolist():
                 row[c * 3 + y] = "*"
             rows.append("".join(row))
     arr = parse_star_array("\n".join(rows))

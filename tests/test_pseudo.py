@@ -23,7 +23,7 @@ from conftest import bipartite_graphs, complete_graph
 
 
 def codegree_oracle(g, u, v):
-    return len(set(g.adj[u]) & set(g.adj[v]))
+    return len(set(g.neighbors(u).tolist()) & set(g.neighbors(v).tolist()))
 
 
 # ---------------------------------------------------------------- generators
