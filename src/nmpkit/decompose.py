@@ -23,6 +23,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .euclid import (
     EuclidSchedule,
     Fan,
@@ -83,25 +85,20 @@ def extract_thrill(
         anchors, leaves_pool, row = v.members, u.members, g.rneighbors
         free_bound = g.k
 
-    free = bytearray(free_bound)
-    for w in leaves_pool:
-        free[w] = 1
+    pool = np.array(leaves_pool, dtype=np.int64)
+    free = np.zeros(free_bound, dtype=bool)
+    free[pool] = True
     fans: list[Fan] = []
     failed: list[int] = []
     for a in anchors:
-        picked: list[int] = []
-        for w in row(a).tolist():
-            if free[w]:
-                picked.append(w)
-                if len(picked) == q:
-                    break
+        cand = row(a)
+        picked = cand[free[cand]][:q]  # rows are sorted: the q lowest free
         if len(picked) == q:
-            for w in picked:
-                free[w] = 0
-            fans.append(Fan(anchor_side=side, anchor=a, leaves=tuple(picked)))
+            free[picked] = False
+            fans.append(Fan(anchor_side=side, anchor=a, leaves=tuple(picked.tolist())))
         else:
             failed.append(a)
-    leftover_leaves = [w for w in leaves_pool if free[w]]
+    leftover_leaves = pool[free[pool]].tolist()
     thrill = Thrill(side=side, q=q, fans=tuple(fans))
     thrill.validate()
     if side is Side.LEFT:

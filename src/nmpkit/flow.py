@@ -1,135 +1,174 @@
-"""Dinic max flow on integer capacities, with min-cut extraction."""
+"""Maximum flow of the NMP transportation network, with its minimum cut.
+
+The network has a source s, the left vertices x of a bipartite graph, its
+right vertices y and a sink t. Arc s -> x has capacity r, arc y -> t capacity
+c, and each graph edge (x, y) is an arc x -> y of capacity min(r, c). That
+capacity can never bind: x receives at most r and y passes on at most c. So
+the solver treats edge arcs as uncapacitated, and a residual path is
+x -> y along any edge and y -> x' back along any edge (x', y) that carries
+flow. Dropping the bound leaves the residual reachability of every left
+vertex unchanged: an edge (x, y) full at min(r, c) either fills y's sink
+arc, leaving x as the only way back from y, or holds all of x's flow, making
+y the only way into x.
+
+Flows are Python ints, so r and c may be arbitrarily large.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
+def max_flow(
+    indptr: list[int], indices: list[int], k: int, n: int, r: int, c: int
+) -> tuple[int, list[int], list[int], int]:
+    """Maximum s-t flow of the network of a CSR bipartite graph.
 
-@dataclass
-class FlowNetwork:
-    """Directed flow network; capacities are nonnegative integers.
+    `indices[indptr[x]:indptr[x + 1]]` are the right neighbors of left x,
+    sorted. Returns (value, flow, S, |N(S)|):
 
-    Arcs are stored as parallel lists (tails, heads, caps). The source must
-    have no in-arcs and the sink no out-arcs.
+    - `flow[e]` is the flow on edge `e`, in CSR order;
+    - S is the left part of the source side of the minimum cut that every
+      maximum flow leaves reachable from s in its residual graph, sorted.
+      It is empty exactly when the flow saturates every source arc;
+    - |N(S)| counts the right vertices on that source side, which are
+      exactly the neighbors of S.
     """
+    flow = [0] * len(indices)
+    # carried[y] maps each x with flow on edge (x, y) to that edge's index.
+    carried: list[dict[int, int]] = [{} for _ in range(n)]
+    slack = [c] * n
+    deficit = [r] * k
 
-    node_count: int
-    source: int
-    sink: int
-    tails: list[int] = field(default_factory=list)
-    heads: list[int] = field(default_factory=list)
-    caps: list[int] = field(default_factory=list)
-
-    def add_arc(self, tail: int, head: int, cap: int) -> int:
-        if cap < 0:
-            raise ValueError("capacity must be nonnegative")
-        if head == self.source:
-            raise ValueError("source cannot have in-arcs")
-        if tail == self.sink:
-            raise ValueError("sink cannot have out-arcs")
-        self.tails.append(tail)
-        self.heads.append(head)
-        self.caps.append(cap)
-        return len(self.caps) - 1
-
-    @property
-    def arc_count(self) -> int:
-        return len(self.caps)
-
-
-@dataclass
-class MaxFlowResult:
-    value: int
-    arc_flow: list[int]           # flow per FlowNetwork arc, in add order
-    source_side: list[bool]       # residual reachability from source (min cut)
-
-
-def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Dinic's algorithm (blocking flows). Flows are integral."""
-    nnodes = net.node_count
-    s, t = net.source, net.sink
-    narcs = net.arc_count
-
-    # Residual arcs: 2*i forward, 2*i+1 backward.
-    to = [0] * (2 * narcs)
-    cap = [0] * (2 * narcs)
-    graph: list[list[int]] = [[] for _ in range(nnodes)]
-    for i in range(narcs):
-        to[2 * i] = net.heads[i]
-        cap[2 * i] = net.caps[i]
-        to[2 * i + 1] = net.tails[i]
-        graph[net.tails[i]].append(2 * i)
-        graph[net.heads[i]].append(2 * i + 1)
-
-    level = [-1] * nnodes
-    total = 0
-
-    def bfs() -> bool:
-        for i in range(nnodes):
-            level[i] = -1
-        level[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for a in graph[v]:
-                w = to[a]
-                if cap[a] > 0 and level[w] < 0:
-                    level[w] = level[v] + 1
-                    queue.append(w)
-        return level[t] >= 0
-
-    while bfs():
-        it = [0] * nnodes
-        while True:
-            # Advance/retreat walk from the source along level-increasing
-            # residual arcs; augment whenever the sink is reached.
-            path: list[int] = []
-            v = s
-            aug = 0
-            while True:
-                if v == t:
-                    aug = min(cap[a] for a in path)
-                    for a in path:
-                        cap[a] -= aug
-                        cap[a ^ 1] += aug
+    # Greedy pass: fill each left from its row in ascending order.
+    for x in range(k):
+        need = r
+        for e in range(indptr[x], indptr[x + 1]):
+            y = indices[e]
+            room = slack[y]
+            if room:
+                f = need if need < room else room
+                flow[e] = f
+                carried[y][x] = e
+                slack[y] = room - f
+                need -= f
+                if not need:
                     break
-                advanced = False
-                arcs = graph[v]
-                i = it[v]
-                while i < len(arcs):
-                    a = arcs[i]
-                    if cap[a] > 0 and level[to[a]] == level[v] + 1:
-                        advanced = True
-                        break
-                    i += 1
-                it[v] = i
-                if advanced:
-                    path.append(arcs[i])
-                    v = to[arcs[i]]
-                else:
-                    if v == s:
-                        break
-                    level[v] = -1  # dead end this phase
-                    back = path.pop()
-                    v = to[back ^ 1]
-                    it[v] += 1
-            if aug == 0:
-                break
-            total += aug
+        deficit[x] = need
 
-    flows = [net.caps[i] - cap[2 * i] for i in range(narcs)]
+    while True:
+        active = [x for x in range(k) if deficit[x]]
+        level, ylevel, found = _layers(indptr, indices, k, n, active, carried, slack)
+        if not found:
+            break
+        _blocking_flow(indptr, indices, active, level, ylevel, flow, carried, slack, deficit)
 
-    # Min cut: residual reachability from the source.
-    reach = [False] * nnodes
-    reach[s] = True
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        for a in graph[v]:
-            w = to[a]
-            if cap[a] > 0 and not reach[w]:
-                reach[w] = True
-                stack.append(w)
-    return MaxFlowResult(value=total, arc_flow=flows, source_side=reach)
+    witness = [x for x in range(k) if level[x] >= 0]
+    return k * r - sum(deficit), flow, witness, n - ylevel.count(-1)
+
+
+def _layers(indptr, indices, k, n, active, carried, slack):
+    """Breadth-first layers of the residual graph from the deficient lefts.
+
+    Left levels count the backward edges taken; a right gets the level of
+    the left that first reaches it. The search stops after the first layer
+    holding a right with slack (found = True); otherwise it has reached all
+    that s reaches, and the reached vertices are the minimum cut's source
+    side.
+    """
+    level = [-1] * k
+    ylevel = [-1] * n
+    for x in active:
+        level[x] = 0
+    frontier = active
+    d = 0
+    while frontier:
+        reached = []
+        found = False
+        for x in frontier:
+            for y in indices[indptr[x]:indptr[x + 1]]:
+                if ylevel[y] < 0:
+                    ylevel[y] = d
+                    if slack[y]:
+                        found = True
+                    else:
+                        reached.append(y)
+        if found:
+            return level, ylevel, True
+        d += 1
+        frontier = []
+        for y in reached:
+            for x2 in carried[y]:
+                if level[x2] < 0:
+                    level[x2] = d
+                    frontier.append(x2)
+    return level, ylevel, False
+
+
+def _blocking_flow(indptr, indices, active, level, ylevel, flow, carried, slack, deficit):
+    """Augment along layered paths until none is left (Dinic's blocking flow).
+
+    The walk is iterative, so path length is not limited by the recursion
+    limit. Each left keeps a pointer into its row and each right a list of
+    candidate lefts one level further from s, consumed from the end. Exhausted
+    vertices are marked dead by setting their level to -1. Arcs created by
+    an augmentation run within a level, so they never join the layered
+    graph during the phase.
+    """
+    ptr = indptr[:-1]
+    cands: list[list[int] | None] = [None] * len(ylevel)
+    for x0 in active:
+        xs = [x0]  # lefts on the current path
+        es = []    # es[i]: edge from xs[i] to the next right on the path
+        while deficit[x0]:
+            x = xs[-1]
+            lx = level[x]
+            e, end = ptr[x], indptr[x + 1]
+            nxt = -1  # next left on the path; -2 when a right with slack is reached
+            while e < end:
+                y = indices[e]
+                if ylevel[y] == lx:
+                    if slack[y]:
+                        nxt = -2
+                        break
+                    down = cands[y]
+                    if down is None:
+                        down = cands[y] = [x2 for x2 in carried[y] if level[x2] == lx + 1]
+                    car = carried[y]
+                    while down and (level[down[-1]] != lx + 1 or down[-1] not in car):
+                        down.pop()
+                    if down:
+                        nxt = down[-1]
+                        break
+                    ylevel[y] = -1
+                e += 1
+            ptr[x] = e
+            if nxt == -1:
+                level[x] = -1
+                xs.pop()
+                if not xs:
+                    break
+                es.pop()
+                continue
+            es.append(e)
+            if nxt >= 0:
+                xs.append(nxt)
+                continue
+            y_end = indices[e]
+            b = min(deficit[x0], slack[y_end])
+            for i in range(len(xs) - 1):
+                f = flow[carried[indices[es[i]]][xs[i + 1]]]
+                if f < b:
+                    b = f
+            for i, e in enumerate(es):
+                y = indices[e]
+                if not flow[e]:
+                    carried[y][xs[i]] = e
+                flow[e] += b
+                if i + 1 < len(xs):
+                    back = carried[y][xs[i + 1]]
+                    flow[back] -= b
+                    if not flow[back]:
+                        del carried[y][xs[i + 1]]
+            deficit[x0] -= b
+            slack[y_end] -= b
+            del xs[1:]
+            es.clear()

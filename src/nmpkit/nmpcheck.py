@@ -7,7 +7,11 @@ through every left vertex and k/g through every right vertex. Saturation is
 equivalent to NMP, and a saturating integral flow restricted to the graph
 edges is a multiplicity function (constant row sums n/g, constant column
 sums k/g). An unsaturated run yields a violating witness from the min cut:
-the left vertices on the source side S satisfy k*|N(S)| < n*|S|.
+the left vertices on the source side S satisfy k*|N(S)| < n*|S|. The
+solver (`flow.max_flow`) is a greedy pass followed by Hopcroft-Karp-style
+augmenting phases; S and |N(S)| are the vertices its final breadth-first
+search reaches. That source side is the same for every maximum flow, so
+the witness does not depend on the solver.
 
 Also provided: a 2^k brute-force oracle over all subsets, the independent-set
 inequality check, and transfer of a right-side witness to a left-side one.
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .flow import FlowNetwork, max_flow
+from .flow import max_flow
 from .graph import BipartiteGraph, Side, VertexSet, left_set, neighborhood
 
 
@@ -54,46 +58,28 @@ class IndependentPair:
     i_y: VertexSet
 
 
-def _build_network(g: BipartiteGraph) -> tuple[FlowNetwork, int, int]:
-    k, n, m = g.k, g.n, g.edge_count
-    d = math.gcd(k, n)
-    row_sum = n // d
-    col_sum = k // d
-    # Nodes: 0 source, 1..k lefts, k+1..k+n rights, k+n+1 sink. Arcs: source
-    # arcs, one arc per edge in (x, y) order, sink arcs. They are built in
-    # bulk rather than by add_arc, whose checks they pass by construction.
-    xs, ys = g.edge_arrays()
-    net = FlowNetwork(
-        node_count=k + n + 2,
-        source=0,
-        sink=k + n + 1,
-        tails=[0] * k + (xs + 1).tolist() + list(range(k + 1, k + n + 1)),
-        heads=list(range(1, k + 1)) + (ys + (k + 1)).tolist() + [k + n + 1] * n,
-        caps=[row_sum] * k + [min(row_sum, col_sum)] * m + [col_sum] * n,
-    )
-    return net, row_sum, col_sum
-
-
 def check_nmp(g: BipartiteGraph) -> NMPCertificate:
     """Decide NMP exactly; return a multiplicity function or a witness."""
     if g.k < 1 or g.n < 1:
         raise ValueError("check_nmp requires nonempty sides")
-    net, row_sum, col_sum = _build_network(g)
-    res = max_flow(net)
-    target = g.k * row_sum
-    if res.value == target:
-        mult = dict(zip(g.edges(), res.arc_flow[g.k:g.k + g.edge_count]))
+    d = math.gcd(g.k, g.n)
+    row_sum, col_sum = g.n // d, g.k // d
+    value, flow, witness, witness_nbhd = max_flow(
+        g.indptr.tolist(), g.indices.tolist(), g.k, g.n, row_sum, col_sum
+    )
+    if value == g.k * row_sum:
         return NMPCertificate(
-            verdict=Verdict.HAS_NMP, row_sum=row_sum, col_sum=col_sum, multiplicity=mult
+            verdict=Verdict.HAS_NMP,
+            row_sum=row_sum,
+            col_sum=col_sum,
+            multiplicity=dict(zip(g.edges(), flow)),
         )
-    witness = left_set(x for x in range(g.k) if res.source_side[1 + x])
-    nbhd = neighborhood(g, witness)
     return NMPCertificate(
         verdict=Verdict.VIOLATED,
         row_sum=row_sum,
         col_sum=col_sum,
-        witness=witness,
-        witness_neighborhood_size=len(nbhd),
+        witness=left_set(witness),
+        witness_neighborhood_size=witness_nbhd,
     )
 
 

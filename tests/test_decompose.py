@@ -112,6 +112,47 @@ def test_extract_thrill_invariants(g, q):
         assert len(ext.thrill.fans) <= maximum
 
 
+def extract_thrill_reference(g, anchors, pool, q, side):
+    """Anchor-by-anchor loop over each row: (fans, failed anchors, leftovers)."""
+    row = g.neighbors if side is Side.LEFT else g.rneighbors
+    free = set(pool)
+    fans, failed = [], []
+    for a in anchors:
+        picked = [w for w in row(a).tolist() if w in free][:q]
+        if len(picked) == q:
+            free.difference_update(picked)
+            fans.append((a, tuple(picked)))
+        else:
+            failed.append(a)
+    return fans, failed, [w for w in pool if w in free]
+
+
+@given(
+    bipartite_graphs(max_k=8, max_n=10),
+    st.integers(1, 3),
+    st.sampled_from(Side),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80)
+def test_extract_thrill_matches_the_loop_reference(g, q, side, rnd):
+    k, n = (g.k, g.n) if side is Side.LEFT else (g.n, g.k)
+    count = min(k, n // q)
+    if count == 0:
+        return
+    anchors = sorted(rnd.sample(range(k), count))
+    pool = sorted(rnd.sample(range(n), q * count))
+    if side is Side.LEFT:
+        u, v = left_set(anchors), right_set(pool)
+    else:
+        u, v = left_set(pool), right_set(anchors)
+    ext = extract_thrill(g, u, v, q, side)
+    fans, failed, leftover = extract_thrill_reference(g, anchors, pool, q, side)
+    assert [(f.anchor, f.leaves) for f in ext.thrill.fans] == fans
+    a_side, b_side = (ext.A, ext.B) if side is Side.LEFT else (ext.B, ext.A)
+    assert a_side.members == tuple(failed)
+    assert b_side.members == tuple(leftover)
+
+
 # ------------------------------------------------- euclid_factor_decompose
 
 

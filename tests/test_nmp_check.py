@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from nmpkit import (
     Verdict,
     build_euclidean_tree,
     check_nmp,
+    gen_gnp,
     kleitman_independent_check,
     left_set,
     neighborhood,
@@ -18,6 +20,7 @@ from nmpkit import (
     validate_certificate,
     witness_transfer,
 )
+from nmpkit.flow import max_flow
 from nmpkit.rng import SplitMix64, derive_seed
 
 from conftest import bipartite_graphs, complete_graph
@@ -63,6 +66,92 @@ def test_check_nmp_t23_multiplicity_is_the_unique_solution():
     cert = check_nmp(g)
     assert cert.verdict is Verdict.HAS_NMP
     assert cert.multiplicity == sols[0]
+
+
+def min_cuts_by_enumeration(g):
+    """Every cut {s} u S u T of the documented network, edge capacity
+    min(r, c); returns the minimum value and the intersection of the S
+    parts of all cuts attaining it."""
+    d = math.gcd(g.k, g.n)
+    r, c = g.n // d, g.k // d
+    w = min(r, c)
+    nbr = [sum(1 << y for y in g.neighbors(x).tolist()) for x in range(g.k)]
+    all_y = (1 << g.n) - 1
+    best, common = None, None
+    for s_mask in range(1 << g.k):
+        rows = [nbr[x] for x in range(g.k) if s_mask >> x & 1]
+        base = r * (g.k - len(rows))
+        for t_mask in range(1 << g.n):
+            value = base + c * t_mask.bit_count()
+            value += w * sum((m & (all_y ^ t_mask)).bit_count() for m in rows)
+            if best is None or value < best:
+                best, common = value, s_mask
+            elif value == best:
+                common &= s_mask
+    return best, tuple(x for x in range(g.k) if common >> x & 1)
+
+
+@st.composite
+def dense_small_graphs(draw):
+    # One coin per pair, so about half the pairs are edges and both
+    # verdicts are common.
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    bits = draw(st.lists(st.booleans(), min_size=k * n, max_size=k * n))
+    edges = [(x, y) for x in range(k) for y in range(n) if bits[x * n + y]]
+    return BipartiteGraph.from_edges(k, n, edges)
+
+
+@given(st.one_of(bipartite_graphs(max_k=6, max_n=6), dense_small_graphs()))
+@settings(max_examples=80)
+def test_witness_is_the_canonical_min_cut(g):
+    cut_value, common = min_cuts_by_enumeration(g)
+    cert = check_nmp(g)
+    target = g.k * cert.row_sum
+    value, _, witness, _ = max_flow(
+        g.indptr.tolist(), g.indices.tolist(), g.k, g.n, cert.row_sum, cert.col_sum
+    )
+    assert value == cut_value
+    assert (cert.verdict is Verdict.VIOLATED) == (cut_value < target)
+    assert tuple(witness) == common
+    if cert.verdict is Verdict.VIOLATED:
+        assert cert.witness.members == common
+        validate_certificate(g, cert)
+
+
+@given(
+    st.integers(50, 300),
+    st.integers(50, 300),
+    st.floats(0.2, 3.0),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=25)
+def test_certificates_validate_at_scale(k, n, c, seed):
+    # p = c*ln(max)/min spans both sides of the NMP threshold; the sizes
+    # include unequal and coprime sides, where r and c reach the hundreds.
+    p = min(1.0, c * math.log(max(k, n)) / min(k, n))
+    g = gen_gnp(k, n, p, seed)
+    cert = check_nmp(g)
+    validate_certificate(g, cert)
+    if cert.verdict is Verdict.HAS_NMP:
+        assert list(cert.multiplicity) == list(g.edges())
+    swapped = check_nmp(g.swap_sides())
+    validate_certificate(g.swap_sides(), swapped)
+    assert swapped.verdict is cert.verdict
+
+
+def test_long_augmenting_path():
+    # Lefts 0..n-2 take rights i and i+1, left n-1 only right 0: a path of
+    # 2n vertices. The greedy pass gives left i right i for i < n-1, which
+    # leaves left n-1 unfilled; its only augmenting path runs through every
+    # vertex, about 10^5 arcs.
+    n = 50_000
+    edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)]
+    g = BipartiteGraph.from_edges(n, n, edges + [(n - 1, 0)])
+    cert = check_nmp(g)
+    assert cert.verdict is Verdict.HAS_NMP
+    validate_certificate(g, cert)
+    assert cert.multiplicity[(n - 1, 0)] == 1
+    assert cert.multiplicity[(n - 2, n - 1)] == 1
 
 
 def test_oracle_star():
