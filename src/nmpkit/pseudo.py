@@ -7,6 +7,12 @@ neighbors. Verification is an exact scan: parameters are held as rationals
 and all comparisons are done with exact arithmetic, so there is no float
 boundary flakiness.
 
+Codegrees are the off-diagonal of the Gram matrix A A^T of the k x n 0/1
+incidence matrix A, computed in row blocks by numpy's BLAS matrix product.
+The float product is still exact: each codegree is a sum of at most n ones,
+so every partial sum is an integer no larger than n, and float32 holds every
+integer below 2^24 exactly (float64 is used from n = 2^24 on).
+
 Generators: seeded G(k, n, p), sum-Cayley graphs over a prime field, and
 point-line incidences of the projective plane PG(2, q). A sampled mixing
 audit evaluates the degree/codegree mixing inequality (or the spectral
@@ -58,42 +64,61 @@ class PseudoReport:
     estimated: PseudoParams | None = None
 
 
-def _packed_rows(g: BipartiteGraph) -> np.ndarray:
-    return np.packbits(g.matrix(), axis=1)
+# A codegree is a sum of at most n products of 0/1 entries, so float32
+# accumulates it exactly while n < 2**24 (its 24-bit significand).
+_F32_EXACT_BELOW = 2 ** 24
+# Rows per Gram block: the block's product is _SCAN_ROWS x k.
+_SCAN_ROWS = 256
+
+
+def _incidence(g: BipartiteGraph) -> np.ndarray:
+    """The k x n 0/1 matrix in the narrowest float dtype that counts exactly."""
+    a = np.zeros((g.k, g.n), dtype=np.float32 if g.n < _F32_EXACT_BELOW else np.float64)
+    xs, ys = g.edge_arrays()
+    a[xs, ys] = 1
+    return a
 
 
 def _codegree_scan(g: BipartiteGraph) -> tuple[int, np.ndarray]:
-    """Max codegree over left pairs, plus per-row max (row i vs rows > i)."""
-    packed = _packed_rows(g)
-    row_max = np.zeros(g.k, dtype=np.int64)
-    for u in range(g.k - 1):
-        common = np.bitwise_count(packed[u + 1:] & packed[u]).sum(axis=1)
-        row_max[u] = int(common.max())
-    return int(row_max.max()) if g.k >= 2 else 0, row_max
+    """Max codegree over left pairs, plus per-row max (row i vs rows > i).
+
+    Codegrees are the off-diagonal of the Gram matrix a @ a.T. Each block of
+    rows is multiplied only against itself and the rows after it, and the
+    block's own entries with j <= i are masked out before the row max.
+    """
+    a = _incidence(g)
+    k = g.k
+    row_max = np.zeros(k, dtype=np.int64)
+    for s in range(0, k - 1, _SCAN_ROWS):
+        e = min(s + _SCAN_ROWS, k - 1)
+        c = a[s:e] @ a[s:].T
+        c[:, :e - s][np.tri(e - s, dtype=bool)] = -1
+        row_max[s:e] = c.max(axis=1)
+    return int(row_max.max()) if k >= 2 else 0, row_max
 
 
 def verify_thomason(g: BipartiteGraph, params: PseudoParams) -> PseudoReport:
     """Exact degree/codegree scan against (p, eps)."""
     if g.k < 2:
         raise ValueError("pseudorandomness verification requires k >= 2")
-    degs = [g.degree(x) for x in range(g.k)]
-    min_deg = min(degs)
+    degs = np.diff(g.indptr)
+    min_deg = int(degs.min())
     deg_bound = params.p * g.n
     violating_vertex = None
     if min_deg < deg_bound:
-        violating_vertex = next(x for x in range(g.k) if degs[x] < deg_bound)
+        violating_vertex = int(np.argmax(degs < math.ceil(deg_bound)))
 
     max_cod, row_max = _codegree_scan(g)
     cod_bound = (1 + params.eps) * params.p * params.p * g.n
     violating_pair = None
     if max_cod > cod_bound:
-        packed = _packed_rows(g)
-        for u in range(g.k - 1):
-            if row_max[u] > cod_bound:
-                common = np.bitwise_count(packed[u + 1:] & packed[u]).sum(axis=1)
-                v = u + 1 + int(np.argmax(common > cod_bound))
-                violating_pair = (u, v)
-                break
+        # Integer codegrees exceed the rational bound exactly when they
+        # exceed its floor.
+        limit = math.floor(cod_bound)
+        u = int(np.argmax(row_max > limit))
+        a = _incidence(g)
+        v = u + 1 + int(np.argmax(a[u + 1:] @ a[u] > limit))
+        violating_pair = (u, v)
     passed = violating_vertex is None and violating_pair is None
     return PseudoReport(
         params=params,
@@ -109,7 +134,7 @@ def estimate_thomason_params(g: BipartiteGraph) -> PseudoParams:
     """Tightest (p, eps) the graph itself supports; always verifies."""
     if g.k < 2:
         raise ValueError("parameter estimation requires k >= 2")
-    min_deg = min(g.degree(x) for x in range(g.k))
+    min_deg = int(np.diff(g.indptr).min())
     if min_deg < 1:
         raise ValueError("graph has an isolated left vertex; p would be 0")
     max_cod, _ = _codegree_scan(g)
@@ -361,7 +386,7 @@ def robust_delete(
 
     t = eps * float(params0.p) * (n / d_size - 1)
     bad_bound = 2 * k * math.exp(-2 * t * t * d_size)
-    degs = [g.degree(x) for x in range(k)]
+    degs = np.diff(g.indptr).tolist()
     for attempt in range(max_attempts):
         rng = SplitMix64(derive_seed(seed, attempt))
         t_set = set(rng.sample(n, d_size))
@@ -375,7 +400,8 @@ def robust_delete(
             c_y = right_set(t_set)
             p1 = params0.p * (1 - Fraction(eps))
             eps1 = 5 * (params0.eps + 3 * Fraction(eps))
-            keep_x = left_set(x for x in range(k) if x not in set(bad))
+            bad_set = set(bad)
+            keep_x = left_set(x for x in range(k) if x not in bad_set)
             keep_y = right_set(y for y in range(n) if y not in t_set)
             sub, _, _ = induced_subgraph(g, keep_x, keep_y)
             if sub is None:

@@ -60,13 +60,17 @@ class SplitMix64:
     def sample(self, n: int, size: int) -> list[int]:
         """`size` distinct values from range(n), by partial Fisher-Yates.
 
-        Returned in draw order (not sorted).
+        Returned in draw order (not sorted). Swap i takes the stream's next
+        output u_i as j_i = i + u_i % (n - i), as `randbelow` would; all
+        `size` outputs are drawn at once.
         """
         if not 0 <= size <= n:
             raise ValueError(f"cannot sample {size} items from range({n})")
+        idx = np.arange(size, dtype=np.uint64)
+        js = (idx + u64_stream(self.state, size) % (np.uint64(n) - idx)).tolist()
+        self.state = (self.state + size * _GOLDEN) & _MASK
         pool = list(range(n))
-        for i in range(size):
-            j = i + self.randbelow(n - i)
+        for i, j in enumerate(js):
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:size]
 

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from nmpkit import (
     PseudoParams,
@@ -10,6 +13,7 @@ from nmpkit import (
     gen_gnp,
     gen_pg2,
     gen_sum_cayley,
+    BipartiteGraph,
     left_set,
     mixing_audit,
     mixing_deviation,
@@ -17,6 +21,7 @@ from nmpkit import (
     robust_delete,
     verify_thomason,
 )
+from nmpkit import pseudo
 from nmpkit.pseudo import _codegree_scan, _is_prime
 
 from conftest import bipartite_graphs, complete_graph
@@ -158,6 +163,92 @@ def test_codegree_scan_matches_oracle():
         codegree_oracle(g, u, v) for u in range(12) for v in range(u + 1, 12)
     )
     assert max_cod == oracle
+
+
+def row_max_oracle(g):
+    return [
+        max((codegree_oracle(g, u, v) for v in range(u + 1, g.k)), default=0)
+        for u in range(g.k)
+    ]
+
+
+@given(
+    st.one_of(
+        bipartite_graphs(max_k=12, max_n=10, min_k=2),
+        st.builds(complete_graph, st.integers(2, 9), st.integers(1, 9)),
+    ),
+    st.integers(1, 4),
+)
+@example(BipartiteGraph.from_edges(2, 1, []), 1)
+@example(BipartiteGraph.from_edges(2, 1, [(0, 0), (1, 0)]), 1)
+@example(BipartiteGraph.from_edges(4, 3, [(0, 0), (0, 2), (3, 0), (3, 2)]), 2)
+@example(complete_graph(5, 1), 3)
+@settings(max_examples=120)
+def test_codegree_scan_row_max_matches_oracle(g, block):
+    # Small blocks make the scan cross block boundaries at these sizes.
+    want = row_max_oracle(g)
+    for rows in (pseudo._SCAN_ROWS, block):
+        with mock.patch.object(pseudo, "_SCAN_ROWS", rows):
+            max_cod, row_max = _codegree_scan(g)
+        assert row_max.tolist() == want
+        assert max_cod == max(want)
+
+
+def test_codegree_scan_spans_several_blocks():
+    g = gen_gnp(600, 40, 0.3, 17)
+    m = g.matrix().astype(np.int64)
+    gram = np.triu(m @ m.T, 1)
+    max_cod, row_max = _codegree_scan(g)
+    assert row_max.tolist() == gram.max(axis=1).tolist()
+    assert max_cod == gram.max()
+
+
+def test_codegree_scan_float64_path_matches():
+    graphs = [gen_gnp(300, 50, 0.4, 5), gen_pg2(7), complete_graph(3, 4), gen_gnp(2, 1, 0.0, 1)]
+    want = [_codegree_scan(g) for g in graphs]
+    params = PseudoParams(Fraction(1, 5), 0)
+    reports = [verify_thomason(g, params) for g in graphs]
+    with mock.patch.object(pseudo, "_F32_EXACT_BELOW", 1):
+        assert all(pseudo._incidence(g).dtype == np.float64 for g in graphs)
+        for g, (max_cod, row_max), rep in zip(graphs, want, reports):
+            got_max, got_rows = _codegree_scan(g)
+            assert got_max == max_cod and got_rows.tolist() == row_max.tolist()
+            assert verify_thomason(g, params) == rep
+    g = gen_pg2(7)
+    with mock.patch.object(pseudo, "_F32_EXACT_BELOW", g.n):
+        assert pseudo._incidence(g).dtype == np.float64
+    with mock.patch.object(pseudo, "_F32_EXACT_BELOW", g.n + 1):
+        assert pseudo._incidence(g).dtype == np.float32
+
+
+def first_pair_over(g, bound):
+    for u in range(g.k):
+        for v in range(u + 1, g.k):
+            if codegree_oracle(g, u, v) > bound:
+                return (u, v)
+    return None
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29, 47])
+def test_violating_pair_is_lexicographically_first(seed):
+    n = 80
+    base = gen_gnp(60, n, 0.15, seed)
+    bound = _codegree_scan(base)[0]
+    mat = base.matrix()
+    # Copy a few rows onto later ones: each copy shares its whole row, well
+    # above the random codegrees, and may create more pairs over the bound.
+    rng = np.random.default_rng(seed)
+    for u in sorted(rng.choice(59, size=4, replace=False).tolist()):
+        v = int(rng.integers(u + 1, 60))
+        mat[v] |= mat[u]
+    g = BipartiteGraph.from_matrix(mat)
+    # (1 + eps) * p^2 * n == bound exactly, with p = 1/n.
+    params = PseudoParams(Fraction(1, n), bound * n - 1)
+    want = first_pair_over(g, bound)
+    assert want is not None
+    rep = verify_thomason(g, params)
+    assert rep.violating_pair == want
+    assert not rep.passed
 
 
 @given(bipartite_graphs(max_k=8, max_n=10, min_k=2))

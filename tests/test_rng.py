@@ -57,6 +57,35 @@ def test_sample_without_replacement(seed, n_extra, size):
     assert all(0 <= v < n for v in got)
 
 
+def sample_reference(rng, n, size):
+    """Scalar partial Fisher-Yates: one randbelow per swap."""
+    pool = list(range(n))
+    for i in range(size):
+        j = i + rng.randbelow(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:size]
+
+
+def assert_sample_matches_reference(seed, n, size):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    assert rng.sample(n, size) == sample_reference(ref, n, size)
+    assert rng.state == ref.state
+    assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize(
+    "seed,n,size",
+    [(0, 0, 0), (7, 5, 0), (7, 1, 0), (7, 1, 1), (2**64 - 1, 9, 9), (123, 2257, 2257)],
+)
+def test_sample_matches_reference_edges(seed, n, size):
+    assert_sample_matches_reference(seed, n, size)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 400), st.data())
+def test_sample_matches_reference(seed, n, data):
+    assert_sample_matches_reference(seed, n, data.draw(st.integers(0, n)))
+
+
 def test_sample_validates():
     with pytest.raises(ValueError):
         SplitMix64(0).sample(3, 4)
