@@ -7,6 +7,7 @@ negative answer), 1 domain errors, 2 usage or file-format errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -137,8 +138,6 @@ def _read_int_list(path: str) -> list[int]:
 
 
 def _cmd_verify_pseudo(args) -> int:
-    import dataclasses
-
     g = load_graph(args.graph)
     est = None
     if args.estimate:
@@ -223,14 +222,7 @@ def _cmd_decompose(args) -> int:
             "remainder_nmp_verified": res.remainder_nmp_verified,
         }
         if res.case_b is not None:
-            payload["case_b"] = {
-                "alpha": res.case_b.alpha,
-                "eta": res.case_b.eta,
-                "K": res.case_b.K,
-                "N": res.case_b.N,
-                "ell": res.case_b.ell,
-                "L": res.case_b.L,
-            }
+            payload["case_b"] = dataclasses.asdict(res.case_b)
         if res.trace is not None:
             tr = res.trace
             payload["trace"] = {
@@ -244,23 +236,7 @@ def _cmd_decompose(args) -> int:
                 "m": tr.schedule.m,
                 "r": list(tr.schedule.r),
                 "q": list(tr.schedule.q),
-                "stages": [
-                    {
-                        "index": s.index,
-                        "anchor_side": s.anchor_side,
-                        "q": s.q,
-                        "s_size": s.s_size,
-                        "a_size": s.a_size,
-                        "b_size": s.b_size,
-                        "corrupt_copies": s.corrupt_copies,
-                        "corrupt_x": s.corrupt_x,
-                        "corrupt_y": s.corrupt_y,
-                        "d_x": s.d_x,
-                        "d_y": s.d_y,
-                        "within_d0": s.within_d0,
-                    }
-                    for s in tr.stages
-                ],
+                "stages": [dataclasses.asdict(s) for s in tr.stages],
             }
         with open(args.trace_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -368,10 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = gsub.add_parser("sumcayley", help="x ~ y iff x + y is a d-th power residue mod q")
     pc.add_argument("--q", type=int, required=True)
     pc.add_argument("--d", type=int, required=True)
-    pc.add_argument("--x-all", action="store_true", help="X = all of F_q (default)")
-    pc.add_argument("--x-list", metavar="FILE", help="file of field elements for X")
-    pc.add_argument("--y-all", action="store_true", help="Y = all of F_q (default)")
-    pc.add_argument("--y-list", metavar="FILE", help="file of field elements for Y")
+    pc.add_argument("--x-list", metavar="FILE", help="field elements for X (default: all of F_q)")
+    pc.add_argument("--y-list", metavar="FILE", help="field elements for Y (default: all of F_q)")
     pc.add_argument("--out", metavar="FILE")
     pc.set_defaults(func=_cmd_gen)
     pp = gsub.add_parser("pg2", help="point-line incidences of PG(2, q)")

@@ -3,18 +3,21 @@
 `extract_thrill` pulls a maximal q-thrill (vertex-disjoint q-fans) out of a
 size-ratio-q pair of vertex sets with a deterministic greedy. The staged
 driver `euclid_factor_decompose` partitions both sides into blocks of size
-t = gcd(k, n) and replays the Euclidean tree process over blocks: stage i
-grows every surviving tree copy by one q_i-fan per vertex on its stationary
-side. A copy whose fan extraction fails anywhere is corrupt and is deleted
-wholly, including the fresh leaves its other fans already claimed; padding
-sets S_i keep the exact size ratio that the thrill extraction needs. What
-survives after stage m is a spanning family of T_{ell,L} copies of the rest
-of the graph, which therefore has NMP.
+t = gcd(k, n) and replays the Euclidean tree process of `euclid` over
+blocks: the schedule says which side grows at stage i and where each fan
+leaf goes, and stage i grows every surviving tree copy by one q_i-fan per
+vertex on its stationary side. A copy whose fan extraction fails is corrupt
+and is deleted wholly, including the fresh leaves its other fans already
+claimed; padding sets S_i keep the exact size ratio that the thrill
+extraction needs. What survives after stage m is a spanning family of
+T_{ell,L} copies of the rest of the graph, which therefore has NMP.
 
-`approx_nmp` is the two-case driver: with n much larger than k a single
-floor(n/k)-thrill suffices (case a); otherwise both sides are first trimmed
-to sizes K, N whose reduced ratio L/ell is small, then the staged
-factorization runs on the trimmed graph (case b).
+`approx_nmp` trims both sides to index prefixes of sizes K, N and runs the
+staged factorization on the K x N prefix graph. With n much larger than k,
+K = k and N = q*k for q = floor(n/k): the reduced ratio is 1:q and the
+factorization is its one-stage T_{1,q} instance, a single q-thrill (case a).
+Otherwise K and N are chosen so that the reduced ratio L/ell is small
+(case b).
 """
 
 from __future__ import annotations
@@ -157,138 +160,105 @@ class DecompositionTrace:
     factor: TreeFactor
 
 
-class _Copy:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: list[int | None], right: list[int | None]):
-        self.left = left
-        self.right = right
-
-
 def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace:
     """Staged T_{ell,L}-factorization of all but the deleted vertex sets.
 
-    eps only sizes the reported budget d0 = 2*eps*n; the greedy itself never
-    consumes it.
+    Each copy is a pair of role lists (left, right) that replays
+    `run_tree_process` over blocks: stage i extracts one q_i-thrill from the
+    copies' anchors on the stationary side and grows every copy by the leaf
+    rule of `EuclidSchedule.leaf_anchors`. eps only sizes the reported
+    budget d0 = 2*eps*n; the greedy itself never consumes it.
     """
     k, n = g.k, g.n
     t = math.gcd(k, n)
     ell, L = k // t, n // t
     sched = euclid_schedule(ell, L)
-    r, q, m = sched.r, sched.q, sched.m
-    hi_is_right = L >= ell
+    r = sched.r
     d0 = 2.0 * eps * n
 
-    deleted_x: list[int] = []
-    deleted_y: list[int] = []
+    deleted: tuple[list[int], list[int]] = ([], [])  # (left, right)
     records: list[StageRecord] = []
 
     # Stage 1 anchors the first block of its stationary side; start with one
     # single-vertex copy per anchor so every stage runs the same step.
-    first_grow_right = hi_is_right == ((m - 1) % 2 == 0)
-    if first_grow_right:
-        copies = [_Copy([x], []) for x in range(t)]
-    else:
-        copies = [_Copy([], [y]) for y in range(t)]
+    copies = [([v], []) if sched.grows_right(1) else ([], [v]) for v in range(t)]
 
-    for i in range(1, m + 1):
-        grow_right = hi_is_right == ((m - i) % 2 == 0)
-        anchor_is_left = grow_right
+    for i in range(1, sched.m + 1):
+        grow_right = sched.grows_right(i)
+        a, b = (0, 1) if grow_right else (1, 0)  # stationary side, growing side
+        qi = sched.q[i - 1]
         fresh_lo, fresh_hi = r[i - 1] * t, r[i + 1] * t
-        d_anchor = len(deleted_x) if anchor_is_left else len(deleted_y)
-        qi = q[i - 1]
-        s_need = qi * d_anchor
+        s_need = qi * len(deleted[a])
         if s_need > fresh_hi - fresh_lo:
             raise DecompositionError(stage=i, needed=s_need, available=fresh_hi - fresh_lo)
-        padding = list(range(fresh_lo, fresh_lo + s_need))
+        padding = range(fresh_lo, fresh_lo + s_need)
         pool = range(fresh_lo + s_need, fresh_hi)
 
-        anchors = sorted(
-            h for c in copies for h in (c.left if anchor_is_left else c.right)
-        )
-        if anchor_is_left:
+        anchors = sorted(h for c in copies for h in c[a])
+        if grow_right:
             ext = extract_thrill(g, left_set(anchors), right_set(pool), qi, Side.LEFT)
-            failed = set(ext.A.members)
-        else:
-            ext = extract_thrill(g, left_set(pool), right_set(anchors), qi, Side.RIGHT)
-            failed = set(ext.B.members)
-        fan_of = {f.anchor: f.leaves for f in ext.thrill.fans}
-
-        corrupt: list[_Copy] = []
-        survivors: list[_Copy] = []
-        for c in copies:
-            anchor_list = c.left if anchor_is_left else c.right
-            grow_list = c.right if anchor_is_left else c.left
-            grown = grow_list + [None] * (r[i + 1] - r[i - 1])
-            bad = False
-            for j, a in enumerate(anchor_list):
-                if a in failed:
-                    bad = True
-                    continue
-                for udx, leaf in enumerate(fan_of[a]):
-                    grown[j + r[i - 1] + udx * r[i]] = leaf
-            if anchor_is_left:
-                c.right = grown
-            else:
-                c.left = grown
-            (corrupt if bad else survivors).append(c)
-
-        corrupt_x = corrupt_y = 0
-        for c in corrupt:
-            cx = [h for h in c.left if h is not None]
-            cy = [h for h in c.right if h is not None]
-            corrupt_x += len(cx)
-            corrupt_y += len(cy)
-            deleted_x.extend(cx)
-            deleted_y.extend(cy)
-        if anchor_is_left:
-            deleted_y.extend(padding)
-            deleted_y.extend(ext.B.members)
+            failed, leftover = set(ext.A), ext.B
             within = len(ext.A) * qi <= d0 and len(ext.B) <= d0
         else:
-            deleted_x.extend(padding)
-            deleted_x.extend(ext.A.members)
+            ext = extract_thrill(g, left_set(pool), right_set(anchors), qi, Side.RIGHT)
+            failed, leftover = set(ext.B), ext.A
             within = len(ext.A) <= qi * d0 and len(ext.B) <= d0
+        fan_of = {f.anchor: f.leaves for f in ext.thrill.fans}
+        leaf_anchors = sched.leaf_anchors(i)
+
+        # A copy with a failed anchor is corrupt: it is deleted at once, with
+        # the fresh leaves its other anchors claimed, and never grown.
+        survivors = []
+        corrupt = ([], [])
+        for c in copies:
+            if failed.isdisjoint(c[a]):
+                fans = [iter(fan_of[h]) for h in c[a]]
+                c[b].extend([next(fans[j]) for j in leaf_anchors])
+                survivors.append(c)
+            else:
+                corrupt[a].extend(c[a])
+                corrupt[b].extend(c[b])
+                corrupt[b].extend(y for h in c[a] if h not in failed for y in fan_of[h])
+        corrupt_copies = len(copies) - len(survivors)
         copies = survivors
+        deleted[0].extend(corrupt[0])
+        deleted[1].extend(corrupt[1])
+        deleted[b].extend(padding)
+        deleted[b].extend(leftover.members)
 
         # Every active vertex is in a surviving copy or deleted, never both.
-        active_l = r[i + 1] if not grow_right else r[i]
-        active_r = r[i + 1] if grow_right else r[i]
-        if sum(len(c.left) for c in copies) + len(deleted_x) != t * active_l:
-            raise DecompositionInvariantError(f"stage {i}: left conservation broken")
-        if sum(len(c.right) for c in copies) + len(deleted_y) != t * active_r:
-            raise DecompositionInvariantError(f"stage {i}: right conservation broken")
+        for side, (active, name) in enumerate(zip(sched.shape(i), ("left", "right"))):
+            if sum(len(c[side]) for c in copies) + len(deleted[side]) != t * active:
+                raise DecompositionInvariantError(f"stage {i}: {name} conservation broken")
 
         records.append(
             StageRecord(
                 index=i,
-                anchor_side="X" if anchor_is_left else "Y",
+                anchor_side="X" if grow_right else "Y",
                 q=qi,
                 s_size=s_need,
                 a_size=len(ext.A),
                 b_size=len(ext.B),
-                corrupt_copies=len(corrupt),
-                corrupt_x=corrupt_x,
-                corrupt_y=corrupt_y,
-                d_x=len(deleted_x),
-                d_y=len(deleted_y),
+                corrupt_copies=corrupt_copies,
+                corrupt_x=len(corrupt[0]),
+                corrupt_y=len(corrupt[1]),
+                d_x=len(deleted[0]),
+                d_y=len(deleted[1]),
                 within_d0=within,
             )
         )
 
     canon_edges = list(build_euclidean_tree(ell, L).graph.edges())
-    factor_copies = []
-    for c in copies:
-        left_by_role = tuple(c.left)
-        right_by_role = tuple(c.right)
-        edges = tuple(
-            (left_by_role[rx], right_by_role[ry]) for rx, ry in canon_edges
+    factor_copies = tuple(
+        TreeCopy(
+            left_by_role=tuple(left),
+            right_by_role=tuple(right),
+            edges=tuple((left[rx], right[ry]) for rx, ry in canon_edges),
         )
-        factor_copies.append(
-            TreeCopy(left_by_role=left_by_role, right_by_role=right_by_role, edges=edges)
-        )
-    d_x_set = left_set(deleted_x)
-    d_y_set = right_set(deleted_y)
+        for left, right in copies
+    )
+    d_x_set = left_set(deleted[0])
+    d_y_set = right_set(deleted[1])
     if (k - len(d_x_set)) * L != (n - len(d_y_set)) * ell:
         raise DecompositionInvariantError("remainder sizes are not in the ratio ell:L")
     return DecompositionTrace(
@@ -303,7 +273,7 @@ def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace
         stages=tuple(records),
         D_X=d_x_set,
         D_Y=d_y_set,
-        factor=TreeFactor(ell=ell, L=L, copies=tuple(factor_copies)),
+        factor=TreeFactor(ell=ell, L=L, copies=factor_copies),
     )
 
 
@@ -327,7 +297,9 @@ class ApproxResult:
     remainder_nmp_verified: bool
     factor: TreeFactor              # in original vertex indices
     case_b: CaseBParams | None = None
-    trace: DecompositionTrace | None = None  # case b; indices of the trimmed graph
+    # The K x N prefix graph's decomposition (same indices); in case (a) it is
+    # the one-stage T_{1,q} instance.
+    trace: DecompositionTrace | None = None
 
 
 def approx_remainder(g: BipartiteGraph, result: ApproxResult) -> BipartiteGraph:
@@ -344,47 +316,24 @@ def approx_nmp(g: BipartiteGraph, eps: float, mode: str = "auto") -> ApproxResul
     """Delete small vertex sets so that the rest of the graph has NMP.
 
     Case selection: (a) when n > k/sqrt(eps), else (b); `mode` can force
-    either. Arbitrary choices are fixed deterministically: deletions to hit
+    either. Both cases run `euclid_factor_decompose` on the K x N prefix
+    graph. Arbitrary choices are fixed deterministically: deletions to hit
     target sizes take the highest indices, padding sets take the lowest.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if mode not in ("auto", "a", "b", "force_a", "force_b"):
+    if mode not in ("auto", "a", "b"):
         raise ValueError(f"unknown mode {mode!r}")
     k, n = g.k, g.n
+    case = mode
     if mode == "auto":
         case = "a" if n > k / math.sqrt(eps) else "b"
-    else:
-        case = mode[-1]
 
     if case == "a":
         q = n // k
         if q < 1:
             raise ValueError("case (a) needs n >= k")
-        rem = n - q * k
-        c_y = list(range(n - rem, n))
-        v = right_set(range(n - rem))
-        ext = extract_thrill(g, left_set(range(k)), v, q, Side.LEFT)
-        x_hat = ext.A
-        y_hat = right_set(list(ext.B.members) + c_y)
-        copies = tuple(
-            TreeCopy(
-                left_by_role=(f.anchor,),
-                right_by_role=f.leaves,
-                edges=tuple((f.anchor, y) for y in f.leaves),
-            )
-            for f in ext.thrill.fans
-        )
-        factor = TreeFactor(ell=1, L=q, copies=copies)
-        result = ApproxResult(
-            x_hat=x_hat,
-            y_hat=y_hat,
-            fraction_x=len(x_hat) / k,
-            fraction_y=len(y_hat) / n,
-            case="a",
-            remainder_nmp_verified=False,
-            factor=factor,
-        )
+        big_k, big_n = k, q * k
     else:
         alpha = eps ** 0.75
         eta = eps ** 0.25
@@ -402,33 +351,27 @@ def approx_nmp(g: BipartiteGraph, eps: float, mode: str = "auto") -> ApproxResul
                 f"no multiple of {unit} in [k(1-2*eta), k(1-eta)] = "
                 f"[{k * (1 - 2 * eta):.3f}, {k * (1 - eta):.3f}]"
             )
-        keep_x = left_set(range(big_k))
-        keep_y = right_set(range(big_n))
-        sub, left_orig, right_orig = induced_subgraph(g, keep_x, keep_y)
-        trace = euclid_factor_decompose(sub, eps)
-        x_hat = left_set(list(range(big_k, k)) + [left_orig[i] for i in trace.D_X])
-        y_hat = right_set(list(range(big_n, n)) + [right_orig[j] for j in trace.D_Y])
-        copies = tuple(
-            TreeCopy(
-                left_by_role=tuple(left_orig[i] for i in c.left_by_role),
-                right_by_role=tuple(right_orig[j] for j in c.right_by_role),
-                edges=tuple((left_orig[i], right_orig[j]) for i, j in c.edges),
-            )
-            for c in trace.factor.copies
-        )
-        result = ApproxResult(
-            x_hat=x_hat,
-            y_hat=y_hat,
-            fraction_x=len(x_hat) / k,
-            fraction_y=len(y_hat) / n,
-            case="b",
-            remainder_nmp_verified=False,
-            factor=TreeFactor(ell=trace.ell, L=trace.L, copies=copies),
-            case_b=CaseBParams(
-                alpha=alpha, eta=eta, K=big_k, N=big_n, ell=trace.ell, L=trace.L
-            ),
-            trace=trace,
-        )
+
+    # The K x N prefix graph keeps its indices, so the trace's deletions and
+    # factor need no remapping; the trimmed suffixes join the deletions.
+    sub, _, _ = induced_subgraph(g, left_set(range(big_k)), right_set(range(big_n)))
+    trace = euclid_factor_decompose(sub, eps)
+    case_b = None
+    if case == "b":
+        case_b = CaseBParams(alpha=alpha, eta=eta, K=big_k, N=big_n, ell=trace.ell, L=trace.L)
+    x_hat = left_set(list(range(big_k, k)) + list(trace.D_X))
+    y_hat = right_set(list(range(big_n, n)) + list(trace.D_Y))
+    result = ApproxResult(
+        x_hat=x_hat,
+        y_hat=y_hat,
+        fraction_x=len(x_hat) / k,
+        fraction_y=len(y_hat) / n,
+        case=case,
+        remainder_nmp_verified=False,
+        factor=trace.factor,
+        case_b=case_b,
+        trace=trace,
+    )
 
     remainder = approx_remainder(g, result)
     verified = check_nmp(remainder).verdict is Verdict.HAS_NMP

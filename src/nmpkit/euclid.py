@@ -36,6 +36,25 @@ class EuclidSchedule:
         """Known upper bound on m: 2.078 * ln(max(ell, L)) + 0.6723."""
         return 2.078 * math.log(max(self.ell, self.L)) + 0.6723
 
+    def grows_right(self, i: int) -> bool:
+        """Whether stage i (1..m) grows the right side. Stage m grows the
+        larger side, and the growing side alternates downward from there."""
+        return (self.L >= self.ell) == ((self.m - i) % 2 == 0)
+
+    def shape(self, i: int) -> tuple[int, int]:
+        """(left, right) vertex counts after stage i: r_i stationary, r_{i+1} grown."""
+        r = self.r
+        return (r[i], r[i + 1]) if self.grows_right(i) else (r[i + 1], r[i])
+
+    def leaf_anchors(self, i: int) -> list[int]:
+        """The leaf rule of stage i, as the anchor role of each new leaf.
+
+        New leaf s (0 <= s < q_i * r_i) takes role r_{i-1} + s on the growing
+        side and hangs off the stationary vertex of role s mod r_i, so each
+        anchor's fan fills its roles in the order the fan lists its leaves.
+        """
+        return [s % self.r[i] for s in range(self.q[i - 1] * self.r[i])]
+
 
 def euclid_schedule(ell: int, L: int) -> EuclidSchedule:
     if ell < 1 or L < 1:
@@ -122,35 +141,23 @@ class Thrill:
                 leaves.add(v)
 
 
-def _stage_grow_is_right(hi_is_right: bool, m: int, i: int) -> bool:
-    # Stage m grows the larger side; parity alternates downward from there.
-    return hi_is_right == ((m - i) % 2 == 0)
-
-
 def run_tree_process(ell: int, L: int) -> list[EuclideanTree]:
     """Staged evolution T_1, ..., T_m ending in the canonical T_{ell,L}.
 
     Stage i adds a q_i-thrill of size r_i: every vertex of the stationary
-    side anchors a fan of q_i fresh vertices on the growing side. Leaf roles
-    are assigned with stride r_i (anchor j, offset u -> role j + r_{i-1} +
-    u*r_i), which reproduces the matching-peeling tree index-for-index.
+    side anchors a fan of q_i fresh vertices on the growing side, placed by
+    `EuclidSchedule.leaf_anchors`. That rule reproduces the matching-peeling
+    tree index for index.
     """
     sched = euclid_schedule(ell, L)
-    r, q, m = sched.r, sched.q, sched.m
-    hi_is_right = L >= ell
     edges: list[tuple[int, int]] = []
     stages: list[EuclideanTree] = []
-    for i in range(1, m + 1):
-        grow_right = _stage_grow_is_right(hi_is_right, m, i)
-        for j in range(r[i]):
-            for u in range(q[i - 1]):
-                leaf = j + r[i - 1] + u * r[i]
-                # Anchors live on the stationary side; store (left, right).
-                edges.append((j, leaf) if grow_right else (leaf, j))
-        if grow_right:
-            left_count, right_count = r[i], r[i + 1]
-        else:
-            left_count, right_count = r[i + 1], r[i]
+    for i in range(1, sched.m + 1):
+        grow_right = sched.grows_right(i)
+        for leaf, j in enumerate(sched.leaf_anchors(i), start=sched.r[i - 1]):
+            # Anchors live on the stationary side; store (left, right).
+            edges.append((j, leaf) if grow_right else (leaf, j))
+        left_count, right_count = sched.shape(i)
         stages.append(
             EuclideanTree(
                 left_count,

@@ -30,7 +30,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import BipartiteGraph, VertexSet, induced_subgraph, left_set, right_set
+from .graph import (
+    BipartiteGraph,
+    VertexSet,
+    edge_count_between,
+    induced_subgraph,
+    left_set,
+    right_set,
+)
 from .rng import SplitMix64, derive_seed, uniform_stream
 
 
@@ -266,8 +273,6 @@ def mixing_deviation(
     Returns (holds, |deviation|, bound) with the last two as floats for
     reporting; the comparison itself is done on exact squares.
     """
-    from .graph import edge_count_between
-
     e = edge_count_between(g, a, b)
     asz, bsz = len(a), len(b)
     if form == "thomason":

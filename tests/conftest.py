@@ -24,25 +24,26 @@ def complete_graph(k: int, n: int) -> BipartiteGraph:
     return BipartiteGraph.from_edges(k, n, [(x, y) for x in range(k) for y in range(n)])
 
 
-def remainder_and_factor(g, trace):
-    """Induced remainder after a decomposition plus the factor remapped to it."""
-    keep_x = left_set(set(range(g.k)) - set(trace.D_X.members))
-    keep_y = right_set(set(range(g.n)) - set(trace.D_Y.members))
+def remainder_and_factor(g, d_x, d_y, factor):
+    """Induced remainder after deleting d_x and d_y, plus the factor remapped
+    to the remainder's indices (None, None if a side is emptied)."""
+    keep_x = left_set(set(range(g.k)) - set(d_x.members))
+    keep_y = right_set(set(range(g.n)) - set(d_y.members))
     sub, lmap, rmap = induced_subgraph(g, keep_x, keep_y)
     if sub is None:
         return None, None
     li = {o: i for i, o in enumerate(lmap)}
     ri = {o: j for j, o in enumerate(rmap)}
     mapped = TreeFactor(
-        trace.ell,
-        trace.L,
+        factor.ell,
+        factor.L,
         tuple(
             TreeCopy(
                 tuple(li[h] for h in c.left_by_role),
                 tuple(ri[h] for h in c.right_by_role),
                 tuple((li[x], ri[y]) for x, y in c.edges),
             )
-            for c in trace.factor.copies
+            for c in factor.copies
         ),
     )
     return sub, mapped

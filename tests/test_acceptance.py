@@ -160,7 +160,7 @@ def test_criterion_05_decomposition_end_to_end():
             assert s.d_x == dx + s.s_size + s.a_size + s.corrupt_x
         dx, dy = s.d_x, s.d_y
     assert (300 - len(tr.D_X)) * 5 == (500 - len(tr.D_Y)) * 3
-    sub, mapped = remainder_and_factor(g, tr)
+    sub, mapped = remainder_and_factor(g, tr.D_X, tr.D_Y, tr.factor)
     rep = verify_tree_factor(sub, mapped, 3, 5, require_spanning=True)
     assert rep.ok, rep.problems
     assert check_nmp(sub).verdict is Verdict.HAS_NMP

@@ -107,6 +107,14 @@ def test_gen_sumcayley_with_list(tmp_path, capsys):
     assert (g.k, g.n) == (3, 13)
 
 
+@pytest.mark.parametrize("flag", ["--x-all", "--y-all"])
+def test_gen_sumcayley_has_no_all_flags(flag):
+    # X and Y default to all of F_q; there is no flag for the default.
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "sumcayley", "--q", "13", "--d", "2", flag])
+    assert exc.value.code == 2
+
+
 def test_verify_pseudo(tmp_path, capsys):
     out = tmp_path / "pg.graph"
     main(["gen", "pg2", "--q", "3", "--out", str(out)])
@@ -162,6 +170,22 @@ def test_decompose_cli(tmp_path, capsys):
     )
     first = factor.read_text().splitlines()[0]
     assert first.startswith("copy 0: X ") and " | Y " in first
+
+
+def test_decompose_cli_case_a_trace(tmp_path, capsys):
+    gfile = tmp_path / "wide.graph"
+    main(["gen", "gnp", "--k", "10", "--n", "95", "--p", "0.7",
+          "--seed", "3", "--out", str(gfile)])
+    capsys.readouterr()
+    trace = tmp_path / "trace.json"
+    assert main(["decompose", str(gfile), "--eps", "0.05", "--mode", "a",
+                 "--trace-json", str(trace)]) == 0
+    payload = json.loads(trace.read_text())
+    assert payload["case"] == "a" and "case_b" not in payload
+    tr = payload["trace"]
+    assert (tr["k"], tr["n"], tr["ell"], tr["L"], tr["m"]) == (10, 90, 1, 9, 1)
+    assert len(tr["stages"]) == 1 and tr["stages"][0]["q"] == 9
+    assert tr["stages"][0]["d_x"] == len(payload["x_hat"])
 
 
 def test_sweep_cli(tmp_path, capsys):

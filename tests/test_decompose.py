@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -181,7 +182,7 @@ def test_decompose_disjoint_tree_host_keeps_identities():
     host = disjoint_copies(build_euclidean_tree(3, 5).graph, 40)
     tr = euclid_factor_decompose(host, 0.05)
     assert (host.k - len(tr.D_X)) * tr.L == (host.n - len(tr.D_Y)) * tr.ell
-    sub, mapped = remainder_and_factor(host, tr)
+    sub, mapped = remainder_and_factor(host, tr.D_X, tr.D_Y, tr.factor)
     if sub is not None:
         rep = verify_tree_factor(sub, mapped, tr.ell, tr.L, require_spanning=True)
         assert rep.ok, rep.problems
@@ -206,7 +207,7 @@ def test_decompose_gnp_end_to_end():
     assert (tr.ell, tr.L, tr.t) == (3, 5, 100)
     check_trace_recurrences(tr)
     assert (300 - len(tr.D_X)) * 5 == (500 - len(tr.D_Y)) * 3
-    sub, mapped = remainder_and_factor(g, tr)
+    sub, mapped = remainder_and_factor(g, tr.D_X, tr.D_Y, tr.factor)
     rep = verify_tree_factor(sub, mapped, 3, 5, require_spanning=True)
     assert rep.ok, rep.problems
     assert check_nmp(sub).verdict is Verdict.HAS_NMP
@@ -244,7 +245,7 @@ def test_decompose_random_seeds_invariants(seed):
     tr = euclid_factor_decompose(g, 0.1)
     check_trace_recurrences(tr)
     assert (k - len(tr.D_X)) * tr.L == (n - len(tr.D_Y)) * tr.ell
-    sub, mapped = remainder_and_factor(g, tr)
+    sub, mapped = remainder_and_factor(g, tr.D_X, tr.D_Y, tr.factor)
     if sub is not None:
         rep = verify_tree_factor(sub, mapped, tr.ell, tr.L, require_spanning=True)
         assert rep.ok, rep.problems
@@ -355,32 +356,82 @@ def test_approx_case_a_constants():
     assert res.fraction_x <= 4 * eps
     assert res.fraction_y <= 3 * math.sqrt(eps)
     assert res.remainder_nmp_verified
-    rep = verify_tree_factor(
-        approx_remainder(g, res), *(_remap_to_remainder(g, res)), require_spanning=True
-    )
+    sub, mapped = remainder_and_factor(g, res.x_hat, res.y_hat, res.factor)
+    assert sub == approx_remainder(g, res)
+    rep = verify_tree_factor(sub, mapped, res.factor.ell, res.factor.L, require_spanning=True)
     assert rep.ok, rep.problems
 
 
-def _remap_to_remainder(g, res):
-    keep_x = sorted(set(range(g.k)) - set(res.x_hat.members))
-    keep_y = sorted(set(range(g.n)) - set(res.y_hat.members))
-    li = {o: i for i, o in enumerate(keep_x)}
-    ri = {o: j for j, o in enumerate(keep_y)}
-    from nmpkit import TreeCopy, TreeFactor
+def _digest(vs):
+    return hashlib.sha256(",".join(map(str, vs.members)).encode()).hexdigest()
 
-    mapped = TreeFactor(
-        res.factor.ell,
-        res.factor.L,
-        tuple(
-            TreeCopy(
-                tuple(li[h] for h in c.left_by_role),
-                tuple(ri[h] for h in c.right_by_role),
-                tuple((li[x], ri[y]) for x, y in c.edges),
-            )
-            for c in res.factor.copies
+
+@pytest.mark.parametrize(
+    "shape, seed, eps, expected",
+    [
+        # Criterion 6's input; eps is its estimated Thomason eps.
+        (
+            (100, 1700, 0.4), 42, 0.3779296875,
+            ("a", 1, 17, "29db0c6782dbd5000559ef4d9e953e300e2b479eed26d887ef3f92b921c06a67",
+             "cc1748949b2b2c68f4141a12892e6efaeafb675a3b92db8986773274033ecb0b", 99, (1, 17)),
         ),
+        (
+            (200, 220, 0.5), 55, 0.01,
+            ("b", 123, 94, "3d427e8fa1a0bc0a1710051ec52c1c67062398298ea1d99b52c6098570d5bf0f",
+             "e1edc020280d54dce07f603aa2f8b6a4a0b69ef14ad68f87e38e09180a44d143", 7, (11, 18)),
+        ),
+    ],
+)
+def test_approx_outputs_are_pinned(shape, seed, eps, expected):
+    res = approx_nmp(gen_gnp(*shape, seed), eps)
+    got = (
+        res.case,
+        len(res.x_hat),
+        len(res.y_hat),
+        _digest(res.x_hat),
+        _digest(res.y_hat),
+        len(res.factor.copies),
+        (res.factor.ell, res.factor.L),
     )
-    return mapped, res.factor.ell, res.factor.L
+    assert got == expected
+
+
+@st.composite
+def wide_graphs(draw):
+    k = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 5))
+    n = q * k + draw(st.integers(0, k - 1))
+    edges = draw(st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, n - 1))))
+    return BipartiteGraph.from_edges(k, n, sorted(edges)), q
+
+
+@given(wide_graphs())
+@settings(max_examples=80)
+def test_approx_case_a_is_one_thrill(gq):
+    # Case (a) is a single q-thrill from all of X into Y[:q*k]: the failed
+    # anchors are deleted, and so are the thrill's leftover and Y's suffix.
+    g, q = gq
+    k, n = g.k, g.n
+    ext = extract_thrill(g, left_set(range(k)), right_set(range(q * k)), q, Side.LEFT)
+    if len(ext.A) == k:
+        with pytest.raises(ValueError, match="emptied a side"):
+            approx_nmp(g, 0.5, mode="a")
+        return
+    res = approx_nmp(g, 0.5, mode="a")
+    assert res.case == "a" and res.case_b is None
+    assert res.x_hat == ext.A
+    assert res.y_hat == right_set(ext.B.members + tuple(range(q * k, n)))
+    assert (res.factor.ell, res.factor.L) == (1, q)
+    assert [(c.left_by_role, c.right_by_role) for c in res.factor.copies] == [
+        ((f.anchor,), f.leaves) for f in ext.thrill.fans
+    ]
+    assert len(res.trace.stages) == 1
+
+
+@pytest.mark.parametrize("mode", ["force_a", "force_b", "A", ""])
+def test_approx_rejects_unknown_mode(mode):
+    with pytest.raises(ValueError, match="unknown mode"):
+        approx_nmp(complete_graph(3, 6), 0.1, mode=mode)
 
 
 def test_approx_case_b_small():

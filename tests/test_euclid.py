@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 import hypothesis.strategies as st
 
 from nmpkit import (
@@ -25,6 +25,8 @@ def test_schedule_5_8():
     assert s.m == 4
     assert s.r == (0, 1, 2, 3, 5, 8)
     assert s.q == (2, 1, 1, 1)
+    assert [s.grows_right(i) for i in range(1, 5)] == [False, True, False, True]
+    assert [s.shape(i) for i in range(1, 5)] == [(2, 1), (2, 3), (5, 3), (5, 8)]
 
 
 def test_schedule_one_step():
@@ -101,11 +103,29 @@ def test_process_single_stage_star():
     assert sorted(stages[0].graph.edges()) == [(0, j) for j in range(6)]
 
 
-def test_process_final_matches_build():
-    for ell, L in [(3, 7), (2, 3), (3, 5), (7, 3), (8, 5), (1, 1), (12, 25)]:
-        final = run_tree_process(ell, L)[-1].graph
-        built = build_euclidean_tree(ell, L).graph
-        assert trees_isomorphic(final, built), (ell, L)
+@given(st.integers(1, 60), st.integers(1, 60))
+@example(1, 1)
+@example(60, 1)
+@example(34, 55)
+def test_process_final_matches_build(ell, L):
+    # The decomposition places its fan leaves by the process's leaf rule and
+    # builds its copies' edges from the canonical tree, so the two must agree
+    # exactly, not just up to isomorphism.
+    assume(math.gcd(ell, L) == 1)
+    stages = run_tree_process(ell, L)
+    assert (stages[-1].ell, stages[-1].L) == (ell, L)
+    assert stages[-1].graph == build_euclidean_tree(ell, L).graph
+    for s in stages:
+        assert s.graph == build_euclidean_tree(s.ell, s.L).graph
+
+
+def test_leaf_rule_interleaves_fans():
+    # T_{2,7}: stage 2 hangs q_2 = 3 leaves off each of r_2 = 2 anchors, and
+    # new leaf s hangs off anchor s mod 2.
+    s = euclid_schedule(2, 7)
+    assert (s.r, s.q) == ((0, 1, 2, 7), (2, 3))
+    assert s.leaf_anchors(1) == [0, 0]
+    assert s.leaf_anchors(2) == [0, 1, 0, 1, 0, 1]
 
 
 @given(st.integers(1, 40), st.integers(1, 40))
