@@ -111,19 +111,6 @@ def extract_thrill(
     return ThrillExtraction(side=side, q=q, thrill=thrill, A=a_set, B=b_set)
 
 
-class DecompositionError(ValueError):
-    """A stage ran out of fresh vertices for its padding set."""
-
-    def __init__(self, stage: int, needed: int, available: int):
-        self.stage = stage
-        self.needed = needed
-        self.available = available
-        super().__init__(
-            f"stage {stage}: padding set needs {needed} fresh vertices, only "
-            f"{available} available (graph too small or too corrupted)"
-        )
-
-
 class DecompositionInvariantError(ValueError):
     """The staged decomposition broke one of its own bookkeeping identities."""
 
@@ -188,9 +175,9 @@ def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace
         a, b = (0, 1) if grow_right else (1, 0)  # stationary side, growing side
         qi = sched.q[i - 1]
         fresh_lo, fresh_hi = r[i - 1] * t, r[i + 1] * t
+        # At most t*r_i stationary vertices are deleted, so the padding never
+        # outgrows the fresh range q_i*r_i*t.
         s_need = qi * len(deleted[a])
-        if s_need > fresh_hi - fresh_lo:
-            raise DecompositionError(stage=i, needed=s_need, available=fresh_hi - fresh_lo)
         padding = range(fresh_lo, fresh_lo + s_need)
         pool = range(fresh_lo + s_need, fresh_hi)
 
@@ -303,7 +290,10 @@ class ApproxResult:
 
 
 def approx_remainder(g: BipartiteGraph, result: ApproxResult) -> BipartiteGraph:
-    """Induced subgraph left after the deletions of an ApproxResult."""
+    """Induced subgraph left after the deletions of an ApproxResult.
+
+    Raises ValueError when the deletions empty a side.
+    """
     keep_x = left_set(set(range(g.k)) - set(result.x_hat.members))
     keep_y = right_set(set(range(g.n)) - set(result.y_hat.members))
     sub, _, _ = induced_subgraph(g, keep_x, keep_y)
@@ -319,6 +309,7 @@ def approx_nmp(g: BipartiteGraph, eps: float, mode: str = "auto") -> ApproxResul
     either. Both cases run `euclid_factor_decompose` on the K x N prefix
     graph. Arbitrary choices are fixed deterministically: deletions to hit
     target sizes take the highest indices, padding sets take the lowest.
+    When the deletions empty a side, the result is returned unverified.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -373,6 +364,8 @@ def approx_nmp(g: BipartiteGraph, eps: float, mode: str = "auto") -> ApproxResul
         trace=trace,
     )
 
+    if len(x_hat) == k or len(y_hat) == n:
+        return result  # the deletions emptied a side: no remainder to check
     remainder = approx_remainder(g, result)
     verified = check_nmp(remainder).verdict is Verdict.HAS_NMP
     return dataclasses.replace(result, remainder_nmp_verified=verified)

@@ -12,11 +12,14 @@ File format (line-oriented UTF-8):
     # optional comment lines
     p bipartite <k> <n>
     e <x> <y>          (0 <= x < k, 0 <= y < n; duplicates are an error)
-The serializer emits the header and then edges sorted by (x, y).
+The serializer emits the header and then edges sorted by (x, y). When the
+edge lines are exactly in that form, the parser reads them in bulk; any
+other valid text parses to the same graph line by line.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -266,16 +269,14 @@ def _token_ints(tokens: list[str]) -> np.ndarray:
         )
 
 
-def _parsed_graph(k: int, n: int, xs: list[str], ys: list[str], linenos: list[int]) -> BipartiteGraph:
-    """Graph of the gathered edge records; the first bad one is named with its line."""
-    cut = len(xs)
+def _parsed_graph(k: int, n: int, ax, ay, xs, ys, linenos) -> BipartiteGraph:
+    """The one _build call of parse_graph, on endpoints ax, ay.
+
+    xs[i], ys[i] are edge i's endpoints as written and linenos[i] its line;
+    the first bad edge is named with them.
+    """
     try:
-        ax, ay = _token_ints(xs), _token_ints(ys)
-    except ValueError:
-        cut = next(i for i, pair in enumerate(zip(xs, ys)) if not all(map(_is_int, pair)))
-        ax, ay = _token_ints(xs[:cut]), _token_ints(ys[:cut])
-    try:
-        g = BipartiteGraph._build(k, n, ax, ay)
+        return BipartiteGraph._build(k, n, ax, ay)
     except _BadEdge as exc:
         i = exc.index
         x, y = int(xs[i]), int(ys[i])
@@ -285,20 +286,28 @@ def _parsed_graph(k: int, n: int, xs: list[str], ys: list[str], linenos: list[in
             "duplicate": f"duplicate edge ({x}, {y})",
         }[exc.kind]
         raise FormatError(f"line {linenos[i]}: {reason}") from None
+
+
+def _token_graph(k: int, n: int, xs: list[str], ys: list[str], linenos: list[int]) -> BipartiteGraph:
+    """Graph of the gathered edge tokens; the first bad one is named with its line."""
+    cut = len(xs)
+    try:
+        ax, ay = _token_ints(xs), _token_ints(ys)
+    except ValueError:
+        cut = next(i for i, pair in enumerate(zip(xs, ys)) if not all(map(_is_int, pair)))
+        ax, ay = _token_ints(xs[:cut]), _token_ints(ys[:cut])
+    g = _parsed_graph(k, n, ax, ay, xs, ys, linenos)
     if cut < len(xs):
         raise FormatError(f"line {linenos[cut]}: non-integer edge endpoints")
     return g
 
 
-def parse_graph(text: str | bytes) -> BipartiteGraph:
-    """Parse the graph file format; errors carry the offending line number.
+def _scan_lines(text: str) -> tuple[int, int, list[str], list[str], list[int]]:
+    """The line loop: header sizes, and the edge tokens with their line numbers.
 
-    Edge records are gathered as tokens and checked together once the text
-    is read. When a later line is malformed, the gathered edges are checked
+    When a later line is malformed, the edges gathered so far are checked
     first, so the error always names the first bad line.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     k = n = None
     xs: list[str] = []
     ys: list[str] = []
@@ -316,11 +325,58 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
             k, n = _header_record(parts, raw.strip(), lineno, k is not None)
         except FormatError:
             if xs:
-                _parsed_graph(k, n, xs, ys, linenos)
+                _token_graph(k, n, xs, ys, linenos)
             raise
     if k is None:
         raise FormatError("missing header line 'p bipartite <k> <n>'")
-    return _parsed_graph(k, n, xs, ys, linenos)
+    return k, n, xs, ys, linenos
+
+
+def _parse_lines(text: str) -> BipartiteGraph:
+    """The general path of parse_graph: every line split and checked on its own."""
+    return _token_graph(*_scan_lines(text))
+
+
+# Line breaks of str.splitlines other than "\n".
+_OTHER_LINE_BREAKS = re.compile("[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# The edge lines serialize_graph writes; 18 digits keep every value in int64.
+_CANONICAL_EDGES = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\n)*")
+
+
+def _header_end(text: str) -> int | None:
+    """Offset just past the first record line, or None if a line before it
+    has a line break other than a plain newline."""
+    pos = 0
+    while (end := text.find("\n", pos)) >= 0:
+        line = text[pos:end]
+        if _OTHER_LINE_BREAKS.search(line):
+            return None
+        parts = line.split()
+        if parts and not parts[0].startswith("#"):
+            return end + 1
+        pos = end + 1
+    return None
+
+
+def parse_graph(text: str | bytes) -> BipartiteGraph:
+    """Parse the graph file format; errors carry the offending line number.
+
+    When everything after the header line is in the form serialize_graph
+    writes, the edges are read in bulk: the header part goes through the
+    line loop and the edge lines through one regex test and one
+    np.fromstring. Any other text takes the line loop throughout. Both
+    paths give the same graph, or the same error.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    end = _header_end(text)
+    if end is None or not _CANONICAL_EDGES.fullmatch(text, end):
+        return _parse_lines(text)
+    k, n, _, _, _ = _scan_lines(text[:end])
+    ends = np.fromstring(text[end:].replace("e", " "), dtype=np.int64, sep=" ")
+    xs, ys = ends[0::2], ends[1::2]
+    first = text.count("\n", 0, end) + 1
+    return _parsed_graph(k, n, xs, ys, xs, ys, range(first, first + len(xs)))
 
 
 def serialize_graph(g: BipartiteGraph, comments: Iterable[str] = ()) -> str:

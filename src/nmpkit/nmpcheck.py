@@ -20,6 +20,7 @@ inequality check, and transfer of a right-side witness to a left-side one.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,9 +38,52 @@ class NMPCertificate:
     verdict: Verdict
     row_sum: int  # n/gcd(k, n)
     col_sum: int  # k/gcd(k, n)
-    multiplicity: dict[tuple[int, int], int] | None = None
+    multiplicity: Mapping[tuple[int, int], int] | None = None
     witness: VertexSet | None = None
     witness_neighborhood_size: int | None = None
+
+
+class _FlowMultiplicity(Mapping):
+    """Read-only {(x, y): m} view of a flow on g's edges in CSR order.
+
+    The dict is built on the first read, so a caller that reads only the
+    verdict never pays for one tuple key per edge. It has the dict's keys in
+    (x, y) order, zeros included, and compares equal to it.
+    """
+
+    __slots__ = ("_g", "_flow", "_dict")
+
+    def __init__(self, g: BipartiteGraph, flow: list[int]):
+        self._g = g
+        self._flow = flow
+        self._dict: dict[tuple[int, int], int] | None = None
+
+    def _items(self) -> dict[tuple[int, int], int]:
+        if self._dict is None:
+            self._dict = dict(zip(self._g.edges(), self._flow))
+        return self._dict
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        # dict(view) calls this once per edge, so it skips the _items() call.
+        d = self._dict
+        if d is None:
+            d = self._items()
+        return d[key]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __len__(self) -> int:
+        return len(self._flow)
+
+    def __eq__(self, other: object) -> bool:
+        return self._items() == other
+
+    def items(self):
+        return self._items().items()
+
+    def __repr__(self) -> str:
+        return repr(self._items())
 
 
 @dataclass(frozen=True)
@@ -59,7 +103,11 @@ class IndependentPair:
 
 
 def check_nmp(g: BipartiteGraph) -> NMPCertificate:
-    """Decide NMP exactly; return a multiplicity function or a witness."""
+    """Decide NMP exactly; return a multiplicity function or a witness.
+
+    The multiplicity is a read-only mapping that builds its dict on the
+    first read.
+    """
     if g.k < 1 or g.n < 1:
         raise ValueError("check_nmp requires nonempty sides")
     d = math.gcd(g.k, g.n)
@@ -72,7 +120,7 @@ def check_nmp(g: BipartiteGraph) -> NMPCertificate:
             verdict=Verdict.HAS_NMP,
             row_sum=row_sum,
             col_sum=col_sum,
-            multiplicity=dict(zip(g.edges(), flow)),
+            multiplicity=_FlowMultiplicity(g, flow),
         )
     return NMPCertificate(
         verdict=Verdict.VIOLATED,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -49,6 +50,19 @@ def test_check_emit_multiplicity(k23_file, tmp_path, capsys):
     assert all(line.startswith("m ") for line in lines)
     total = sum(int(line.split()[3]) for line in lines)
     assert total == 2 * 3  # row sums 3 over 2 rows
+
+
+def test_check_emit_multiplicity_bytes_are_pinned(tmp_path, capsys):
+    gfile = tmp_path / "g.graph"
+    out = tmp_path / "mult.txt"
+    main(["gen", "gnp", "--k", "40", "--n", "60", "--p", "0.5", "--seed", "7",
+          "--out", str(gfile)])
+    assert main(["check", str(gfile), "--emit-multiplicity", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.startswith(b"m 0 0 1\nm 0 1 1\nm 0 4 0\n")
+    assert hashlib.sha256(data).hexdigest() == (
+        "382aa1cd20d5c02c5e8d8dc97cb74cda7bc6ea7f92b18c04c34488dde434a426"
+    )
 
 
 def test_unknown_flag_exits_2(k23_file):
@@ -186,6 +200,21 @@ def test_decompose_cli_case_a_trace(tmp_path, capsys):
     assert (tr["k"], tr["n"], tr["ell"], tr["L"], tr["m"]) == (10, 90, 1, 9, 1)
     assert len(tr["stages"]) == 1 and tr["stages"][0]["q"] == 9
     assert tr["stages"][0]["d_x"] == len(payload["x_hat"])
+
+
+def test_decompose_cli_reports_an_emptied_side(tmp_path, capsys):
+    # No edges: every case-(a) anchor fails and both sides are deleted whole.
+    gfile = tmp_path / "empty.graph"
+    gfile.write_text("p bipartite 2 6\n")
+    trace = tmp_path / "trace.json"
+    assert main(["decompose", str(gfile), "--eps", "0.5", "--mode", "a",
+                 "--trace-json", str(trace)]) == 0
+    out = capsys.readouterr().out
+    assert "|X_hat|=2 |Y_hat|=6" in out and out.rstrip().endswith("remainder_nmp=no")
+    payload = json.loads(trace.read_text())
+    assert payload["remainder_nmp_verified"] is False
+    assert (payload["x_hat"], payload["y_hat"]) == ([0, 1], list(range(6)))
+    assert len(payload["trace"]["stages"]) == 1
 
 
 def test_sweep_cli(tmp_path, capsys):

@@ -14,7 +14,6 @@ import hypothesis.strategies as st
 
 from nmpkit import (
     BipartiteGraph,
-    DecompositionError,
     DecompositionInvariantError,
     Side,
     Verdict,
@@ -268,10 +267,20 @@ def test_decompose_total_corruption_degrades_gracefully():
     assert len(tr.D_X) == 16 and len(tr.D_Y) == 24
 
 
-def test_decomposition_error_payload():
-    err = DecompositionError(stage=3, needed=40, available=12)
-    assert err.stage == 3
-    assert "stage 3" in str(err) and "40" in str(err)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=80)
+def test_padding_fits_the_fresh_range(k, n, p, seed):
+    # Stage i pads with q_i per deleted stationary vertex, and at most
+    # t*r_i of those exist, so the padding never outgrows the fresh range.
+    tr = euclid_factor_decompose(gen_gnp(k, n, p, seed), 0.1)
+    r = tr.schedule.r
+    for s in tr.stages:
+        assert s.s_size <= (r[s.index + 1] - r[s.index - 1]) * tr.t
 
 
 def test_extract_thrill_rejects_a_thrill_that_reuses_a_leaf():
@@ -413,10 +422,6 @@ def test_approx_case_a_is_one_thrill(gq):
     g, q = gq
     k, n = g.k, g.n
     ext = extract_thrill(g, left_set(range(k)), right_set(range(q * k)), q, Side.LEFT)
-    if len(ext.A) == k:
-        with pytest.raises(ValueError, match="emptied a side"):
-            approx_nmp(g, 0.5, mode="a")
-        return
     res = approx_nmp(g, 0.5, mode="a")
     assert res.case == "a" and res.case_b is None
     assert res.x_hat == ext.A
@@ -426,6 +431,13 @@ def test_approx_case_a_is_one_thrill(gq):
         ((f.anchor,), f.leaves) for f in ext.thrill.fans
     ]
     assert len(res.trace.stages) == 1
+    if len(ext.A) == k:
+        # Every anchor failed, so both sides are deleted whole: the sets and
+        # the trace are kept, and there is no remainder to verify.
+        assert (res.fraction_x, res.fraction_y) == (1, 1)
+        assert not res.remainder_nmp_verified
+        with pytest.raises(ValueError, match="emptied a side"):
+            approx_remainder(g, res)
 
 
 @pytest.mark.parametrize("mode", ["force_a", "force_b", "A", ""])

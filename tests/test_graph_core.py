@@ -1,3 +1,6 @@
+import warnings
+from unittest import mock
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -8,6 +11,8 @@ from nmpkit import (
     Side,
     build_euclidean_tree,
     edge_count_between,
+    gen_gnp,
+    graph,
     induced_subgraph,
     left_set,
     neighborhood,
@@ -125,6 +130,77 @@ def test_first_bad_edge_is_named_in_input_order(k, n, records):
         "right": f"right index {y} out of range, n={n}",
         "duplicate": f"duplicate edge ({x}, {y})",
     }[kind]
+
+
+# Corruptions of one edge line of a canonical text. The canonical ones keep
+# the serializer's form, so the bulk path must report them; the others leave
+# it, so the line loop must.
+CANONICAL_CORRUPTIONS = {
+    "left out of range": lambda line, k, n: f"e {k} 0\n",
+    "right out of range": lambda line, k, n: f"e 0 {n + 10**17}\n",
+    "duplicate": lambda line, k, n: line + line,
+}
+OTHER_CORRUPTIONS = {
+    "19-digit token": lambda line, k, n: "e 1000000000000000000 0\n",
+    "tab": lambda line, k, n: line.replace(" ", "\t", 1),
+    "crlf": lambda line, k, n: line[:-1] + "\r\n",
+    "Arabic-Indic digit": lambda line, k, n: "e \u0660 " + line.split()[2] + "\n",
+    "no final newline": lambda line, k, n: line[:-1],
+}
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@given(
+    bipartite_graphs(),
+    st.lists(st.text(st.characters(exclude_characters="\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029",
+                                   exclude_categories=("Cs",)), max_size=8), max_size=3),
+    st.sampled_from([None, *CANONICAL_CORRUPTIONS, *OTHER_CORRUPTIONS]),
+    st.integers(0, 10**6),
+)
+def test_bulk_parse_matches_the_line_loop(g, comments, corruption, at):
+    text = serialize_graph(g, comments)
+    head, _, body = text.rpartition(f"p bipartite {g.k} {g.n}\n")
+    lines = body.splitlines(keepends=True)
+    if corruption is not None and lines:
+        i = at % len(lines)
+        if corruption == "no final newline":
+            i = len(lines) - 1
+        corrupt = {**CANONICAL_CORRUPTIONS, **OTHER_CORRUPTIONS}[corruption]
+        lines[i] = corrupt(lines[i], g.k, g.n)
+        text = head + f"p bipartite {g.k} {g.n}\n" + "".join(lines)
+    with mock.patch.object(graph, "_parse_lines", wraps=graph._parse_lines) as line_loop:
+        got = parse_outcome(parse_graph, text)
+    assert got == parse_outcome(graph._parse_lines, text)
+    if corruption is None:
+        assert got == g
+    bulk = corruption is None or corruption in CANONICAL_CORRUPTIONS or not lines
+    assert line_loop.called is not bulk
+
+
+def test_bulk_parse_of_a_benchmark_sized_file_warns_nothing():
+    # The approx_b benchmark's graph, with the comment line `nmp gen` writes.
+    g = gen_gnp(1000, 1100, 0.3, 1)
+    text = serialize_graph(g, ["gnp k=1000 n=1100 p=0.3 seed=1 algo=splitmix64"])
+    with warnings.catch_warnings(), mock.patch.object(
+        graph, "_parse_lines", side_effect=AssertionError("line loop used")
+    ):
+        warnings.simplefilter("error")
+        assert parse_graph(text) == g
+        assert parse_graph(text.encode()) == g
+
+
+def test_bulk_parse_names_the_line_of_a_bad_edge():
+    text = "# c\n\np bipartite 2 3\ne 0 0\ne 1 2\ne 0 0\n"
+    with pytest.raises(FormatError, match=r"^line 6: duplicate edge \(0, 0\)$"):
+        parse_graph(text)
+    with pytest.raises(FormatError, match=r"^line 5: left index 7 out of range, k=2$"):
+        parse_graph(text.replace("e 1 2", "e 7 2"))
 
 
 @given(bipartite_graphs())

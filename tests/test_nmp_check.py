@@ -1,5 +1,7 @@
+import dataclasses
 import math
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -278,3 +280,70 @@ def test_validate_certificate_catches_tampering():
     )
     with pytest.raises(ValueError):
         validate_certificate(g, tampered)
+
+
+def reference_multiplicity(g):
+    """The multiplicity as a plain dict, straight from the solver's flow."""
+    d = math.gcd(g.k, g.n)
+    _, flow, _, _ = max_flow(g.indptr.tolist(), g.indices.tolist(), g.k, g.n, g.n // d, g.k // d)
+    return dict(zip(g.edges(), flow))
+
+
+@pytest.mark.parametrize(
+    "g", [complete_graph(3, 6), build_euclidean_tree(2, 3).graph, gen_gnp(40, 60, 0.5, 7)]
+)
+def test_multiplicity_view_is_the_reference_dict(g):
+    mult = check_nmp(g).multiplicity
+    ref = reference_multiplicity(g)
+    assert mult == ref and ref == mult and not mult != ref
+    assert list(mult) == list(ref) == list(g.edges())
+    assert list(mult.items()) == list(ref.items())
+    assert len(mult) == len(ref) == g.edge_count
+    assert mult == check_nmp(g).multiplicity
+    changed = dict(ref)
+    changed[next(iter(changed))] += 1
+    assert mult != changed and mult != {}
+
+
+def test_multiplicity_view_keeps_zeros():
+    # K_{2,4}: each left vertex sends n/gcd = 2 units over 4 edges.
+    mult = check_nmp(complete_graph(2, 4)).multiplicity
+    assert sorted(mult.values()) == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert all(mult[(x, y)] in (0, 1) for x in range(2) for y in range(4))
+
+
+def test_multiplicity_view_raises_keyerror_off_the_edges():
+    g = build_euclidean_tree(2, 3).graph
+    non_edge = next((x, y) for x in range(g.k) for y in range(g.n) if not g.has_edge(x, y))
+    mult = check_nmp(g).multiplicity
+    for key in (non_edge, (g.k, 0), (0, g.n), (-1, 0)):
+        with pytest.raises(KeyError):
+            mult[key]
+        assert key not in mult and mult.get(key) is None
+
+
+def test_multiplicity_view_is_built_on_first_read():
+    g = gen_gnp(30, 45, 0.5, 3)
+    with mock.patch.object(type(g), "edges", autospec=True, side_effect=type(g).edges) as edges:
+        cert = check_nmp(g)
+        assert cert.verdict is Verdict.HAS_NMP and len(cert.multiplicity) == g.edge_count
+        assert edges.call_count == 0
+        first = cert.multiplicity[(0, int(g.neighbors(0)[0]))]
+        assert edges.call_count == 1
+        assert dict(cert.multiplicity)[(0, int(g.neighbors(0)[0]))] == first
+        assert edges.call_count == 1
+
+
+def test_plain_dict_certificate_validates_or_is_rejected():
+    g = gen_gnp(40, 60, 0.5, 7)
+    cert = check_nmp(g)
+    plain = dataclasses.replace(cert, multiplicity=dict(cert.multiplicity))
+    validate_certificate(g, plain)
+    tampered = dict(cert.multiplicity)
+    tampered[next(iter(tampered))] += 1
+    with pytest.raises(ValueError, match="row sums"):
+        validate_certificate(g, dataclasses.replace(cert, multiplicity=tampered))
+    off_edge = dict(cert.multiplicity)
+    off_edge[next((0, y) for y in range(g.n) if not g.has_edge(0, y))] = 0
+    with pytest.raises(ValueError, match="non-edge"):
+        validate_certificate(g, dataclasses.replace(cert, multiplicity=off_edge))

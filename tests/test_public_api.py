@@ -3,8 +3,8 @@ import nmpkit
 # Every public name of the package, submodules included. A change that adds
 # or drops one must update this list on purpose.
 PUBLIC_NAMES = [
-    "ApproxResult", "BipartiteGraph", "DecompositionError", "DecompositionInvariantError",
-    "DecompositionTrace", "EuclidSchedule", "EuclideanTree", "Fan", "FormatError",
+    "ApproxResult", "BipartiteGraph", "DecompositionInvariantError", "DecompositionTrace",
+    "EuclidSchedule", "EuclideanTree", "Fan", "FormatError",
     "IndependentPair", "MixingAudit", "NMPCertificate", "OracleResult", "PseudoParams",
     "PseudoReport", "RhoResult", "RobustDeleteResult", "Side", "StarArray", "StarSolution",
     "SumCayleyGraph", "SweepConfig", "SweepRow", "Thrill", "ThrillExtraction", "TreeCopy",
