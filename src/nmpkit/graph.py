@@ -4,9 +4,12 @@ Vertices are 0-based on both sides. The left side X has k vertices, the
 right side Y has n vertices. Adjacency is stored in both directions as
 compressed sparse rows of int64 numpy arrays: the right neighbors of x are
 indices[indptr[x]:indptr[x+1]], sorted, and rindptr/rindices hold the
-transpose. Every graph is built by one private constructor that range-checks
-the endpoints, rejects repeated edges and sorts the edge keys x*n + y; the
-arrays are read-only, so graphs are immutable after construction.
+transpose. Every graph ends in one private constructor, _from_keys, which
+takes the edge keys x*n + y strictly increasing. _build range-checks edges
+given in any order, rejects repeats and sorts them into keys; callers whose
+keys are sorted and unique by construction (induced subgraphs, G(k, n, p))
+skip that sort. The arrays are read-only, so graphs are immutable after
+construction.
 
 File format (line-oriented UTF-8):
     # optional comment lines
@@ -97,6 +100,13 @@ def _ids(s: VertexSet) -> np.ndarray:
     return np.array(s.members, dtype=np.int64)
 
 
+def _check_sizes(k: int, n: int) -> None:
+    if k < 1 or n < 1:
+        raise ValueError(f"sides must be nonempty, got k={k}, n={n}")
+    if k * n > _INT64_MAX:
+        raise ValueError(f"k*n = {k * n} exceeds the int64 edge keys")
+
+
 def _row_starts(rows: np.ndarray, count: int) -> np.ndarray:
     """CSR row pointer of `count` rows from the row index of every entry."""
     ptr = np.zeros(count + 1, dtype=np.int64)
@@ -129,15 +139,12 @@ class BipartiteGraph:
 
     @classmethod
     def _build(cls, k: int, n: int, xs, ys) -> "BipartiteGraph":
-        """The one construction and validation path.
+        """The one validation path for edges given in any order.
 
         Raises _BadEdge for the first edge, in input order, that is out of
-        range or repeats an earlier one.
+        range or repeats an earlier one; the sorted keys go to _from_keys.
         """
-        if k < 1 or n < 1:
-            raise ValueError(f"sides must be nonempty, got k={k}, n={n}")
-        if k * n > _INT64_MAX:
-            raise ValueError(f"k*n = {k * n} exceeds the int64 edge keys")
+        _check_sizes(k, n)
         xs = np.asarray(xs, dtype=np.int64)
         ys = np.asarray(ys, dtype=np.int64)
         bad = (xs < 0) | (xs >= k) | (ys < 0) | (ys >= n)
@@ -151,8 +158,30 @@ class BipartiteGraph:
         if first_bad < len(xs):
             x, y = int(xs[first_bad]), int(ys[first_bad])
             raise _BadEdge(first_bad, "left" if not 0 <= x < k else "right", x, y, k, n)
-        rev = np.sort(ys * k + xs)
-        return cls(k, n, _row_starts(xs, k), fwd % n, _row_starts(ys, n), rev % k)
+        return cls._from_keys(k, n, fwd)
+
+    @classmethod
+    def _from_keys(cls, k: int, n: int, keys) -> "BipartiteGraph":
+        """Graph of the edge keys x*n + y, which must be strictly increasing.
+
+        The tail of _build, for callers whose keys are sorted and unique by
+        construction: it skips the sort and the duplicate pass, and checks
+        its precondition in one O(E) pass instead.
+        """
+        _check_sizes(k, n)
+        keys = np.asarray(keys, dtype=np.int64)
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("edge keys are not strictly increasing")
+        if len(keys) and not (0 <= keys[0] and keys[-1] < k * n):
+            raise ValueError(f"edge keys out of range [0, k*n) for k={k}, n={n}")
+        indptr = np.searchsorted(keys, n * np.arange(k + 1))
+        ys = keys % n
+        # The keys y*k + x, sorted, give the transpose.
+        rev = ys * k
+        rev += keys // n
+        rev.sort()
+        rev %= k
+        return cls(k, n, indptr, ys, _row_starts(ys, n), rev)
 
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
@@ -448,7 +477,9 @@ def induced_subgraph(
     xs = np.repeat(np.arange(len(left_orig)), counts)
     ys = right_new[g.indices[pos]]
     keep = ys >= 0
-    sub = BipartiteGraph._build(len(left_orig), len(right_orig), xs[keep], ys[keep])
+    # Both relabellings keep the original order, so the keys come out sorted.
+    keys = xs[keep] * len(right_orig) + ys[keep]
+    sub = BipartiteGraph._from_keys(len(left_orig), len(right_orig), keys)
     return sub, left_orig, right_orig
 
 
@@ -483,6 +514,6 @@ def disjoint_copies(g: BipartiteGraph, copies: int) -> BipartiteGraph:
         raise ValueError("need at least one copy")
     xs, ys = g.edge_arrays()
     shift = np.arange(copies)[:, None]
-    return BipartiteGraph._build(
-        g.k * copies, g.n * copies, (xs + shift * g.k).ravel(), (ys + shift * g.n).ravel()
-    )
+    # Copy after copy, each in (x, y) order: the keys come out sorted.
+    keys = (xs + shift * g.k) * (g.n * copies) + (ys + shift * g.n)
+    return BipartiteGraph._from_keys(g.k * copies, g.n * copies, keys.ravel())

@@ -59,7 +59,11 @@ def _wilson(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, fl
 
 
 def threshold_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """One row per grid point: `trials` independent generate-and-check runs."""
+    """One row per grid point: `trials` independent generate-and-check runs.
+
+    A trial reads only check_nmp's verdict, so a graph with an under-degree
+    vertex costs no flow.
+    """
     rows: list[SweepRow] = []
     log_n = math.log(cfg.n)
     grid = cfg.p_grid if cfg.p_grid is not None else cfg.c_grid

@@ -11,7 +11,11 @@ the left vertices on the source side S satisfy k*|N(S)| < n*|S|. The
 solver (`flow.max_flow`) is a greedy pass followed by Hopcroft-Karp-style
 augmenting phases; S and |N(S)| are the vertices its final breadth-first
 search reaches. That source side is the same for every maximum flow, so
-the witness does not depend on the solver.
+the witness does not depend on the solver. A vertex whose degree is below
+its quota (k*deg(x) < n on the left, n*deg(y) < k on the right) settles
+Violated before any flow; the certificate then runs the flow for its
+witness only when a witness field is first read, so a caller that reads
+only the verdict never pays for it.
 
 Also provided: a 2^k brute-force oracle over all subsets, the independent-set
 inequality check, and transfer of a right-side witness to a left-side one.
@@ -21,8 +25,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .flow import max_flow
 from .graph import BipartiteGraph, Side, VertexSet, left_set, neighborhood
@@ -33,14 +39,41 @@ class Verdict(Enum):
     VIOLATED = "violated"
 
 
+_WITNESS_FIELDS = ("witness", "witness_neighborhood_size")
+
+
 @dataclass(frozen=True)
 class NMPCertificate:
     verdict: Verdict
     row_sum: int  # n/gcd(k, n)
     col_sum: int  # k/gcd(k, n)
     multiplicity: Mapping[tuple[int, int], int] | None = None
-    witness: VertexSet | None = None
-    witness_neighborhood_size: int | None = None
+    # A default_factory leaves no class attribute, so reading a witness field
+    # that check_nmp left unsolved reaches __getattr__.
+    witness: VertexSet | None = field(default_factory=lambda: None)
+    witness_neighborhood_size: int | None = field(default_factory=lambda: None)
+
+    def __getattr__(self, name: str):
+        # Normal lookup failed: for a witness field of a certificate from
+        # _degree_settled, that is its first read.
+        g = self.__dict__.get("_unsolved")
+        if g is None or name not in _WITNESS_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value, _, witness, witness_nbhd = _solve(g, self.row_sum, self.col_sum)
+        if value == g.k * self.row_sum:
+            raise RuntimeError("the degree test failed on a graph whose flow saturates")
+        self.__dict__.update(witness=left_set(witness), witness_neighborhood_size=witness_nbhd)
+        self.__dict__.pop("_unsolved", None)
+        return self.__dict__[name]
+
+    @classmethod
+    def _degree_settled(cls, g: BipartiteGraph, row_sum: int, col_sum: int) -> "NMPCertificate":
+        """Violated certificate whose witness fields are solved on first read."""
+        cert = cls(Verdict.VIOLATED, row_sum, col_sum)
+        for name in _WITNESS_FIELDS:
+            del cert.__dict__[name]
+        cert.__dict__["_unsolved"] = g
+        return cert
 
 
 class _FlowMultiplicity(Mapping):
@@ -102,19 +135,40 @@ class IndependentPair:
     i_y: VertexSet
 
 
+def _solve(g: BipartiteGraph, row_sum: int, col_sum: int):
+    """max_flow of g's network: (value, flow, witness, |N(witness)|)."""
+    return max_flow(g.indptr.tolist(), g.indices.tolist(), g.k, g.n, row_sum, col_sum)
+
+
+def _fails_degree_test(g: BipartiteGraph, row_sum: int, col_sum: int) -> bool:
+    """True when one vertex cannot carry its quota: a left x with
+    k*deg(x) < n, or a right y with n*deg(y) < k.
+
+    {x} violates the NMP inequality, and {y} violates it in the side-swapped
+    graph, which has NMP exactly when g has; so either settles Violated.
+    """
+    return (
+        int(np.diff(g.indptr).min()) * col_sum < row_sum
+        or int(np.diff(g.rindptr).min()) * row_sum < col_sum
+    )
+
+
 def check_nmp(g: BipartiteGraph) -> NMPCertificate:
     """Decide NMP exactly; return a multiplicity function or a witness.
 
     The multiplicity is a read-only mapping that builds its dict on the
-    first read.
+    first read. A graph with a vertex of too small a degree is Violated
+    without a flow; its certificate solves the flow, and so the same min-cut
+    witness, on the first read of a witness field. A caller that reads only
+    the verdict pays for neither.
     """
     if g.k < 1 or g.n < 1:
         raise ValueError("check_nmp requires nonempty sides")
     d = math.gcd(g.k, g.n)
     row_sum, col_sum = g.n // d, g.k // d
-    value, flow, witness, witness_nbhd = max_flow(
-        g.indptr.tolist(), g.indices.tolist(), g.k, g.n, row_sum, col_sum
-    )
+    if _fails_degree_test(g, row_sum, col_sum):
+        return NMPCertificate._degree_settled(g, row_sum, col_sum)
+    value, flow, witness, witness_nbhd = _solve(g, row_sum, col_sum)
     if value == g.k * row_sum:
         return NMPCertificate(
             verdict=Verdict.HAS_NMP,

@@ -38,7 +38,7 @@ from .graph import (
     left_set,
     right_set,
 )
-from .rng import SplitMix64, derive_seed, uniform_stream
+from .rng import SplitMix64, _u64_blocks, derive_seed
 
 
 @dataclass(frozen=True)
@@ -150,18 +150,34 @@ def estimate_thomason_params(g: BipartiteGraph) -> PseudoParams:
     return PseudoParams(p=p, eps=eps)
 
 
+# Stream outputs per block in gen_gnp, so its uint64 temporaries stay at
+# 256 KB whatever k*n is.
+_GNP_BLOCK = 1 << 15
+
+
 def gen_gnp(k: int, n: int, p: float, seed: int) -> BipartiteGraph:
     """G(k, n, p): each of the k*n pairs is an edge independently.
 
     Pair (x, y) uses uniform number x*n + y of the splitmix64 stream, so the
-    graph is a pure function of (k, n, p, seed).
+    graph is a pure function of (k, n, p, seed). The uniform of output v is
+    (v >> 11) * 2^-53, which is below p exactly when v < ceil(p * 2^53) * 2^11,
+    because p * 2^53 is exact and v >> 11 is an integer; so the raw outputs
+    are compared with that integer, and the passing indices are the edge
+    keys x*n + y in increasing order.
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if k < 1 or n < 1:
         raise ValueError("sides must be nonempty")
-    u = uniform_stream(seed, k * n)
-    return BipartiteGraph.from_matrix((u < p).reshape(k, n))
+    bound = math.ceil(p * 2 ** 53) << 11
+    if bound == 2 ** 64:  # p = 1: every output is below
+        keys = np.arange(k * n)
+    else:
+        keys = np.concatenate([
+            np.flatnonzero(block < np.uint64(bound)) + start
+            for start, block in _u64_blocks(seed, k * n, _GNP_BLOCK)
+        ])
+    return BipartiteGraph._from_keys(k, n, keys)
 
 
 def _is_prime(q: int) -> bool:

@@ -12,6 +12,8 @@ Substreams (per trial, per attempt, ...) are derived as
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 ALGORITHM_ID = "splitmix64"
@@ -76,12 +78,27 @@ class SplitMix64:
 
 
 def u64_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of SplitMix64(seed), vectorized (uint64)."""
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = idx * np.uint64(_GOLDEN) + np.uint64(seed & _MASK)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """First `count` outputs of SplitMix64(seed), vectorized (uint64).
+
+    mix64 runs in place on one array, with one scratch array for the shifts.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
+
+
+def _u64_blocks(seed: int, count: int, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The first `count` outputs of SplitMix64(seed) as (offset, outputs)
+    pairs of at most `size` outputs each, so no array exceeds `size`."""
+    for start in range(0, count, size):
+        yield start, u64_stream(seed + start * _GOLDEN, min(size, count - start))
 
 
 def uniform_stream(seed: int, count: int) -> np.ndarray:

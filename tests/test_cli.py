@@ -227,6 +227,17 @@ def test_sweep_cli(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_sweep_csv_bytes_are_pinned(tmp_path, capsys):
+    # Unequal sides (60 vs 90): quotas ceil(90/60) = 2 on the left and
+    # ceil(60/90) = 1 on the right, so both degree tests settle trials.
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--k", "60", "--n", "90", "--c-list", "0.5,1.0,1.5,2.0",
+                 "--trials", "40", "--seed", "9", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6b629d21c6066653f3a626765d680be2065e2c8a9db02db3a12beabce9d5b8e2"
+    )
+
+
 def test_sweep_requires_one_grid(capsys):
     assert main(["sweep", "--k", "4", "--n", "4", "--trials", "2", "--seed", "1"]) == 2
 

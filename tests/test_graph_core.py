@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -10,6 +15,7 @@ from nmpkit import (
     FormatError,
     Side,
     build_euclidean_tree,
+    disjoint_copies,
     edge_count_between,
     gen_gnp,
     graph,
@@ -313,3 +319,59 @@ def test_swap_sides():
 def test_side_other():
     assert Side.LEFT.other() is Side.RIGHT
     assert Side.RIGHT.other() is Side.LEFT
+
+
+def both_directions(g):
+    return [a.tolist() for a in (g.indptr, g.indices, g.rindptr, g.rindices)]
+
+
+@given(bipartite_graphs(), st.integers(1, 3))
+def test_sorted_key_constructions_match_build(g, copies):
+    xs, ys = g.edge_arrays()
+    from_keys = BipartiteGraph._from_keys(g.k, g.n, xs * g.n + ys)
+    assert both_directions(from_keys) == both_directions(g)
+    shift = np.repeat(np.arange(copies), g.edge_count)
+    built = BipartiteGraph._build(
+        g.k * copies, g.n * copies, np.tile(xs, copies) + shift * g.k,
+        np.tile(ys, copies) + shift * g.n,
+    )
+    assert both_directions(disjoint_copies(g, copies)) == both_directions(built)
+
+
+@pytest.mark.parametrize("keys, fragment", [
+    ([3, 1], "not strictly increasing"),
+    ([0, 2, 2], "not strictly increasing"),
+    ([-1, 0], r"out of range \[0, k\*n\) for k=2, n=3"),
+    ([0, 6], r"out of range \[0, k\*n\) for k=2, n=3"),
+])
+def test_from_keys_rejects_a_broken_precondition(keys, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        BipartiteGraph._from_keys(2, 3, keys)
+
+
+def test_from_keys_rejects_a_broken_precondition_under_python_O():
+    script = (
+        "from nmpkit import BipartiteGraph\n"
+        "assert False, 'asserts must be off'\n"
+        "for keys in ([3, 1], [0, 2, 2], [-1, 0], [0, 6]):\n"
+        "    try:\n"
+        "        BipartiteGraph._from_keys(2, 3, keys)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(graph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "edge keys are not strictly increasing",
+        "edge keys are not strictly increasing",
+        "edge keys out of range [0, k*n) for k=2, n=3",
+        "edge keys out of range [0, k*n) for k=2, n=3",
+    ]

@@ -1,15 +1,18 @@
+import copy
 import dataclasses
 import math
+import pickle
 from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from nmpkit import (
     BipartiteGraph,
     IndependentPair,
+    NMPCertificate,
     Verdict,
     build_euclidean_tree,
     check_nmp,
@@ -347,3 +350,109 @@ def test_plain_dict_certificate_validates_or_is_rejected():
     off_edge[next((0, y) for y in range(g.n) if not g.has_edge(0, y))] = 0
     with pytest.raises(ValueError, match="non-edge"):
         validate_certificate(g, dataclasses.replace(cert, multiplicity=off_edge))
+
+
+# ------------------------------------------------- the degree test, deferred
+
+
+def eager_certificate(g):
+    """check_nmp as a flow-first decision: the solver's verdict and witness."""
+    d = math.gcd(g.k, g.n)
+    r, c = g.n // d, g.k // d
+    value, _, witness, nbhd = max_flow(g.indptr.tolist(), g.indices.tolist(), g.k, g.n, r, c)
+    if value == g.k * r:
+        return Verdict.HAS_NMP, None, None
+    return Verdict.VIOLATED, tuple(witness), nbhd
+
+
+@st.composite
+def planted_under_degree(draw):
+    """A graph where one vertex, left or right, has fewer neighbors than its
+    quota ceil(n/k) or ceil(k/n); the sides are often unequal and coprime,
+    so the quota exceeds one."""
+    k, n = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        k, n = n, k
+    bits = draw(st.lists(st.booleans(), min_size=k * n, max_size=k * n))
+    edges = {(x, y) for x in range(k) for y in range(n) if bits[x * n + y]}
+    if draw(st.booleans()):
+        x = draw(st.integers(0, k - 1))
+        keep = draw(st.sets(st.integers(0, n - 1), max_size=-(-n // k) - 1))
+        edges = {(a, b) for a, b in edges if a != x} | {(x, y) for y in keep}
+    else:
+        y = draw(st.integers(0, n - 1))
+        keep = draw(st.sets(st.integers(0, k - 1), max_size=-(-k // n) - 1))
+        edges = {(a, b) for a, b in edges if b != y} | {(x, y) for x in keep}
+    return BipartiteGraph.from_edges(k, n, sorted(edges))
+
+
+@st.composite
+def degree_passing_violations(draw):
+    """Every degree meets its quota, yet NMP fails: A x C and B x D are
+    complete with |A|/k > |C|/n, so k*|N(A)| < n*|A|; B may also see C."""
+    k, n = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    a, c = draw(st.integers(1, k - 1)), draw(st.integers(1, n - 1))
+    assume(a * n > c * k)
+    # Degrees of A, B, C, D against their quotas.
+    assume(k * c >= n and k * (n - c) >= n and n * a >= k and n * (k - a) >= k)
+    extra = draw(st.sets(st.tuples(st.integers(a, k - 1), st.integers(0, c - 1))))
+    edges = {(x, y) for x in range(a) for y in range(c)}
+    edges |= {(x, y) for x in range(a, k) for y in range(c, n)} | extra
+    return BipartiteGraph.from_edges(k, n, sorted(edges))
+
+
+@given(st.one_of(
+    bipartite_graphs(max_k=7, max_n=12),
+    dense_small_graphs(),
+    planted_under_degree(),
+    degree_passing_violations(),
+))
+# Every vertex meets its quota of one neighbor, yet lefts 0-2 see only rights 0-1.
+@example(BipartiteGraph.from_edges(
+    4, 4, [(x, y) for x in range(3) for y in range(2)] + [(3, 2), (3, 3)]))
+@settings(max_examples=300)
+def test_degree_settled_verdicts_match_the_flow(g):
+    verdict, witness, nbhd = eager_certificate(g)
+    cert = check_nmp(g)
+    assert cert.verdict is verdict
+    if verdict is Verdict.VIOLATED:
+        assert (cert.witness.members, cert.witness_neighborhood_size) == (witness, nbhd)
+        validate_certificate(g, cert)
+    quota_missed = any(g.k * g.degree(x) < g.n for x in range(g.k)) or any(
+        g.n * g.rdegree(y) < g.k for y in range(g.n)
+    )
+    if quota_missed:
+        assert verdict is Verdict.VIOLATED
+
+
+def test_degree_settled_certificate_solves_the_flow_on_first_read():
+    # Right vertex 4 is isolated; everything else is complete.
+    g = BipartiteGraph.from_edges(3, 5, [(x, y) for x in range(3) for y in range(4)])
+    with mock.patch("nmpkit.nmpcheck.max_flow", side_effect=max_flow) as solver:
+        cert = check_nmp(g)
+        assert cert.verdict is Verdict.VIOLATED and cert.multiplicity is None
+        assert solver.call_count == 0
+        assert cert.witness_neighborhood_size == 4
+        assert solver.call_count == 1
+        assert cert.witness.members == (0, 1, 2)
+        assert solver.call_count == 1
+    _, witness, nbhd = eager_certificate(g)
+    assert (cert.witness.members, cert.witness_neighborhood_size) == (witness, nbhd)
+
+
+def test_degree_settled_certificate_is_a_plain_certificate():
+    g = BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0)])
+    plain = NMPCertificate(Verdict.VIOLATED, 3, 2, None, left_set([1]), 1)
+    assert check_nmp(g) == plain and plain == check_nmp(g)
+    assert hash(check_nmp(g)) == hash(plain)
+    assert repr(check_nmp(g)) == repr(plain)
+    assert pickle.loads(pickle.dumps(check_nmp(g))) == plain
+    assert copy.deepcopy(check_nmp(g)) == plain
+    assert dataclasses.asdict(check_nmp(g)) == dataclasses.asdict(plain)
+    moved = dataclasses.replace(check_nmp(g), witness_neighborhood_size=2)
+    with pytest.raises(ValueError, match="neighborhood size"):
+        validate_certificate(g, moved)
+    with pytest.raises(AttributeError, match="no attribute 'witness_size'"):
+        check_nmp(g).witness_size
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        check_nmp(g).witness = None

@@ -23,6 +23,7 @@ from nmpkit import (
 )
 from nmpkit import pseudo
 from nmpkit.pseudo import _codegree_scan, _is_prime
+from nmpkit.rng import u64_stream, uniform_stream
 
 from conftest import bipartite_graphs, complete_graph
 
@@ -46,6 +47,36 @@ def test_gnp_determinism_and_concentration():
     # Binomial(10^4, 1/2): five standard deviations is 250.
     assert abs(a.edge_count - 5000) <= 250
     assert a.edge_count == 4974  # regression: fixed by the seed
+
+
+def gnp_by_floats(k, n, p, seed):
+    """G(k, n, p) as the uniforms define it: pair x*n + y is an edge when
+    its uniform is below p."""
+    return BipartiteGraph.from_matrix((uniform_stream(seed, k * n) < p).reshape(k, n))
+
+
+# Below one generation block, exactly one, and one full block plus a part.
+@pytest.mark.parametrize("k, n", [(1, 1), (1, 9), (3, 7), (128, 256), (200, 300)])
+def test_gnp_integer_threshold_gives_the_float_bits(k, n):
+    seed = 20 + k
+    # Dyadic p = m * 2^-53 with m = v >> 11 of outputs of this very stream,
+    # so some pair's uniform equals p exactly and is not an edge, while it
+    # is one at the next double up.
+    outs = u64_stream(seed, k * n).tolist()
+    tops = [v >> 11 for v in outs]
+    picks = [tops[0], tops[len(tops) // 2], tops[-1], min(tops), max(tops), 1, 2 ** 52]
+    # An output whose low 11 bits are zero equals the integer bound itself.
+    picks += [v >> 11 for v in outs if v % 2048 == 0][:1]
+    dyadics = [m * 2.0 ** -53 for m in picks]
+    ps = [0.0, 1.0, 5e-324, math.nextafter(1, 0), 0.3]
+    ps += [q for d in dyadics for q in (d, math.nextafter(d, 0), math.nextafter(d, 1))]
+    for p in ps:
+        g, ref = gen_gnp(k, n, p, seed), gnp_by_floats(k, n, p, seed)
+        for a, b in ((g.indptr, ref.indptr), (g.indices, ref.indices),
+                     (g.rindptr, ref.rindptr), (g.rindices, ref.rindices)):
+            assert a.tolist() == b.tolist(), p
+    assert gen_gnp(k, n, tops[0] * 2.0 ** -53, seed).has_edge(0, 0) is False
+    assert gen_gnp(k, n, math.nextafter(tops[0] * 2.0 ** -53, 1), seed).has_edge(0, 0)
 
 
 def test_gnp_validates_p():

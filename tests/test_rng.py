@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from nmpkit.rng import SplitMix64, derive_seed, mix64, u64_stream, uniform_stream
+from nmpkit.rng import SplitMix64, _u64_blocks, derive_seed, mix64, u64_stream, uniform_stream
 
 
 def test_mix64_reference_values():
@@ -23,6 +24,14 @@ def test_vector_scalar_agreement():
     scalar = [rng.next_u64() for _ in range(64)]
     vector = u64_stream(seed, 64).tolist()
     assert scalar == vector
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(1, 70))
+def test_blocks_are_the_stream_cut_up(seed, count, size):
+    blocks = list(_u64_blocks(seed, count, size))
+    assert [start for start, _ in blocks] == list(range(0, count, size))
+    assert all(1 <= len(b) <= size for _, b in blocks)
+    assert np.concatenate([b for _, b in blocks]).tolist() == u64_stream(seed, count).tolist()
 
 
 def test_uniforms_match_random():
