@@ -11,7 +11,9 @@ Codegrees are the off-diagonal of the Gram matrix A A^T of the k x n 0/1
 incidence matrix A, computed in row blocks by numpy's BLAS matrix product.
 The float product is still exact: each codegree is a sum of at most n ones,
 so every partial sum is an integer no larger than n, and float32 holds every
-integer below 2^24 exactly (float64 is used from n = 2^24 on).
+integer below 2^24 exactly (float64 is used from max(k, n) = 2^24 on). The
+mixing audit counts e(A, B) in the same matrix, a block of samples per
+product.
 
 Generators: seeded G(k, n, p), sum-Cayley graphs over a prime field, and
 point-line incidences of the projective plane PG(2, q). A sampled mixing
@@ -38,7 +40,7 @@ from .graph import (
     left_set,
     right_set,
 )
-from .rng import SplitMix64, _u64_blocks, derive_seed
+from .rng import _GOLDEN, _MASK, SplitMix64, _sample_masks, _u64_blocks, derive_seed
 
 
 @dataclass(frozen=True)
@@ -71,30 +73,34 @@ class PseudoReport:
     estimated: PseudoParams | None = None
 
 
-# A codegree is a sum of at most n products of 0/1 entries, so float32
-# accumulates it exactly while n < 2**24 (its 24-bit significand).
+# A codegree is a sum of at most n products of 0/1 entries, and an audit's
+# |N(y) & A| one of at most k, so float32 accumulates both exactly while
+# max(k, n) < 2**24 (its 24-bit significand).
 _F32_EXACT_BELOW = 2 ** 24
 # Rows per Gram block: the block's product is _SCAN_ROWS x k.
 _SCAN_ROWS = 256
+# Samples per mixing-audit block: the block's product is _AUDIT_ROWS x n.
+_AUDIT_ROWS = 32
 
 
 def _incidence(g: BipartiteGraph) -> np.ndarray:
     """The k x n 0/1 matrix in the narrowest float dtype that counts exactly."""
-    a = np.zeros((g.k, g.n), dtype=np.float32 if g.n < _F32_EXACT_BELOW else np.float64)
+    exact32 = max(g.k, g.n) < _F32_EXACT_BELOW
+    a = np.zeros((g.k, g.n), dtype=np.float32 if exact32 else np.float64)
     xs, ys = g.edge_arrays()
     a[xs, ys] = 1
     return a
 
 
-def _codegree_scan(g: BipartiteGraph) -> tuple[int, np.ndarray]:
-    """Max codegree over left pairs, plus per-row max (row i vs rows > i).
+def _codegree_scan(a: np.ndarray) -> tuple[int, np.ndarray]:
+    """Max codegree over left pairs, plus per-row max (row i vs rows > i),
+    of the graph whose `_incidence` is a.
 
     Codegrees are the off-diagonal of the Gram matrix a @ a.T. Each block of
     rows is multiplied only against itself and the rows after it, and the
     block's own entries with j <= i are masked out before the row max.
     """
-    a = _incidence(g)
-    k = g.k
+    k = len(a)
     row_max = np.zeros(k, dtype=np.int64)
     for s in range(0, k - 1, _SCAN_ROWS):
         e = min(s + _SCAN_ROWS, k - 1)
@@ -106,6 +112,11 @@ def _codegree_scan(g: BipartiteGraph) -> tuple[int, np.ndarray]:
 
 def verify_thomason(g: BipartiteGraph, params: PseudoParams) -> PseudoReport:
     """Exact degree/codegree scan against (p, eps)."""
+    return _verify_thomason(g, params, _incidence(g))
+
+
+def _verify_thomason(g: BipartiteGraph, params: PseudoParams, a: np.ndarray) -> PseudoReport:
+    """verify_thomason on the graph's incidence matrix a, built by the caller."""
     if g.k < 2:
         raise ValueError("pseudorandomness verification requires k >= 2")
     degs = np.diff(g.indptr)
@@ -115,7 +126,7 @@ def verify_thomason(g: BipartiteGraph, params: PseudoParams) -> PseudoReport:
     if min_deg < deg_bound:
         violating_vertex = int(np.argmax(degs < math.ceil(deg_bound)))
 
-    max_cod, row_max = _codegree_scan(g)
+    max_cod, row_max = _codegree_scan(a)
     cod_bound = (1 + params.eps) * params.p * params.p * g.n
     violating_pair = None
     if max_cod > cod_bound:
@@ -123,7 +134,6 @@ def verify_thomason(g: BipartiteGraph, params: PseudoParams) -> PseudoReport:
         # exceed its floor.
         limit = math.floor(cod_bound)
         u = int(np.argmax(row_max > limit))
-        a = _incidence(g)
         v = u + 1 + int(np.argmax(a[u + 1:] @ a[u] > limit))
         violating_pair = (u, v)
     passed = violating_vertex is None and violating_pair is None
@@ -144,7 +154,7 @@ def estimate_thomason_params(g: BipartiteGraph) -> PseudoParams:
     min_deg = int(np.diff(g.indptr).min())
     if min_deg < 1:
         raise ValueError("graph has an isolated left vertex; p would be 0")
-    max_cod, _ = _codegree_scan(g)
+    max_cod, _ = _codegree_scan(_incidence(g))
     p = Fraction(min_deg, g.n)
     eps = max(Fraction(0), Fraction(max_cod * g.n, min_deg * min_deg) - 1)
     return PseudoParams(p=p, eps=eps)
@@ -290,12 +300,25 @@ def mixing_deviation(
     reporting; the comparison itself is done on exact squares.
     """
     e = edge_count_between(g, a, b)
-    asz, bsz = len(a), len(b)
+    return _mixing_check(e, len(a), len(b), g.n, params, form, h_size, q)
+
+
+def _mixing_check(
+    e: int,
+    asz: int,
+    bsz: int,
+    n: int,
+    params: PseudoParams | None,
+    form: str,
+    h_size: int | None,
+    q: int | None,
+) -> tuple[bool, float, float]:
+    """mixing_deviation given e(A, B) = e, |A| = asz, |B| = bsz."""
     if form == "thomason":
         if params is None:
             raise ValueError("thomason form needs params")
         dev = Fraction(e) - params.p * asz * bsz
-        bound_sq = params.p * g.n * asz * bsz * (1 + params.eps * params.p * asz)
+        bound_sq = params.p * n * asz * bsz * (1 + params.eps * params.p * asz)
         holds = dev * dev <= bound_sq
     elif form == "alon_bourgain":
         if h_size is None or q is None:
@@ -320,20 +343,33 @@ def mixing_audit(
     """Sampled refutation tool for the mixing inequality.
 
     Subset sizes are uniform over their valid ranges and members are drawn
-    without replacement, one derived stream per sample. For the thomason
-    form |A| >= ceil(1/p) is enforced and (g, params) must verify first.
+    without replacement, one derived stream per sample: sample t reads
+    SplitMix64(derive_seed(seed, t)), whose output 1 gives |A| (randbelow
+    over the valid range), output 2 gives |B|, the next |A| outputs draw A
+    and the next |B| draw B (SplitMix64.sample). For the thomason form
+    |A| >= ceil(1/p) is enforced and (g, params) must verify first.
+
+    Samples go in blocks of _AUDIT_ROWS: the block's A and B draws are
+    resolved together by rng._sample_masks, and every e(A_t, B_t) is the
+    row-wise dot of (A masks @ incidence matrix) with the B masks, exact as
+    in the codegree scan. The incidence matrix (4*k*n bytes while
+    max(k, n) < 2^24) is held for the whole audit, and for the thomason form
+    it is the one the precondition scan used.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    k, n = g.k, g.n
     if form == "thomason":
         if params is None:
             raise ValueError("thomason form needs params")
-        if not verify_thomason(g, params).passed:
+        a = _incidence(g)
+        if not _verify_thomason(g, params, a).passed:
             raise ValueError("graph does not verify the claimed parameters")
         a_min = math.ceil(1 / params.p)
-        if a_min > g.k:
-            raise ValueError(f"no valid subset size: ceil(1/p) = {a_min} > k = {g.k}")
+        if a_min > k:
+            raise ValueError(f"no valid subset size: ceil(1/p) = {a_min} > k = {k}")
     elif form == "alon_bourgain":
+        a = _incidence(g)
         a_min = 1
     else:
         raise ValueError(f"unknown bound form {form!r}")
@@ -341,19 +377,31 @@ def mixing_audit(
     violations = 0
     worst_margin = math.inf
     worst_sizes = (0, 0)
-    for trial in range(samples):
-        rng = SplitMix64(derive_seed(seed, trial))
-        asz = a_min + rng.randbelow(g.k - a_min + 1)
-        bsz = 1 + rng.randbelow(g.n)
-        a = left_set(rng.sample(g.k, asz))
-        b = right_set(rng.sample(g.n, bsz))
-        holds, dev, bound = mixing_deviation(g, a, b, params, form, h_size, q)
-        if not holds:
-            violations += 1
-        margin = bound - dev
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_sizes = (asz, bsz)
+    for lo in range(0, samples, _AUDIT_ROWS):
+        block = range(lo, min(lo + _AUDIT_ROWS, samples))
+        starts, asz, bsz = [], [], []
+        for t in block:
+            rng = SplitMix64(derive_seed(seed, t))
+            asz.append(a_min + rng.randbelow(k - a_min + 1))
+            bsz.append(1 + rng.randbelow(n))
+            starts.append(rng.state)
+        starts += [(s + sa * _GOLDEN) & _MASK for s, sa in zip(starts, asz)]
+        rows = len(block)
+        masks = _sample_masks(starts, [k] * rows + [n] * rows, asz + bsz)
+        in_a = masks[:rows * k].reshape(rows, k)
+        in_b = masks[rows * k:].reshape(rows, n)
+        # Entry (t, y) of the product is |N(y) & A_t| <= k, exact in a's
+        # dtype; the row sums reach k*n, so they are taken in float64.
+        counts = (in_a.astype(a.dtype) @ a) * in_b
+        edges = counts.sum(axis=1, dtype=np.float64).astype(np.int64).tolist()
+        for e, sa, sb in zip(edges, asz, bsz):
+            holds, dev, bound = _mixing_check(e, sa, sb, n, params, form, h_size, q)
+            if not holds:
+                violations += 1
+            margin = bound - dev
+            if margin < worst_margin:
+                worst_margin = margin
+                worst_sizes = (sa, sb)
     return MixingAudit(
         form=form,
         samples=samples,
@@ -407,15 +455,16 @@ def robust_delete(
 
     t = eps * float(params0.p) * (n / d_size - 1)
     bad_bound = 2 * k * math.exp(-2 * t * t * d_size)
-    degs = np.diff(g.indptr).tolist()
+    rows, _ = g.edge_arrays()
+    limits = (np.diff(g.indptr) / n + t) * d_size
     for attempt in range(max_attempts):
         rng = SplitMix64(derive_seed(seed, attempt))
         t_set = set(rng.sample(n, d_size))
-        bad = [
-            u
-            for u in range(k)
-            if sum(1 for y in g.neighbors(u).tolist() if y in t_set) >= (degs[u] / n + t) * d_size
-        ]
+        in_t = np.zeros(n, dtype=bool)
+        in_t[list(t_set)] = True
+        # |N(u) & T| for every left u: the rows of the edges that end in T.
+        hits = np.bincount(rows[in_t[g.indices]], minlength=k)
+        bad = np.flatnonzero(hits >= limits).tolist()
         if len(bad) <= bad_bound:
             c_x = left_set(bad)
             c_y = right_set(t_set)

@@ -77,14 +77,11 @@ class SplitMix64:
         return pool[:size]
 
 
-def u64_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of SplitMix64(seed), vectorized (uint64).
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """mix64 of every element of the uint64 array z, in place; returns z.
 
-    mix64 runs in place on one array, with one scratch array for the shifts.
+    One scratch array holds the shifts.
     """
-    z = np.arange(1, count + 1, dtype=np.uint64)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(seed & _MASK)
     shifted = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(_MIX1)
@@ -92,6 +89,66 @@ def u64_stream(seed: int, count: int) -> np.ndarray:
     z *= np.uint64(_MIX2)
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
+
+
+def u64_stream(seed: int, count: int) -> np.ndarray:
+    """First `count` outputs of SplitMix64(seed), vectorized (uint64)."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK)
+    return _mix64_array(z)
+
+
+def _sample_masks(states, ns, sizes) -> np.ndarray:
+    """Membership masks of SplitMix64(states[d]).sample(ns[d], sizes[d]), all d.
+
+    Returns one flat bool array: draw d's mask is its slice of length ns[d],
+    the slices laid end to end in draw order. Exact, without a sort: step
+    i < m of a draw takes output u_i = mix64(s + (i+1)*GOLDEN) and swaps
+    positions i and j_i = i + u_i % (N - i) >= i. A position p >= m ends up
+    holding the value that position last(p) held just before its step,
+    last(p) being the latest step whose target is p; and that value is
+    R(last(p)), the root of the chain q -> L(q) -> ..., where L(q) is the
+    latest step i < q whose target is q (q is the root if there is none).
+    So the drawn set is [0, m) plus the targets >= m, less R(last(p)) for
+    each target p >= m. `latest[q]`, the latest step whose target is q,
+    gives both last(p) and L(q) for every q on a chain, as step q itself
+    targets another position.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if np.any(sizes < 0) or np.any(sizes > ns):
+        raise ValueError("every draw needs 0 <= size <= n")
+    step = np.arange(int(sizes.sum()), dtype=np.int64)
+    step -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+    z = (step + 1).astype(np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.repeat(np.asarray(states, dtype=np.uint64), sizes)
+    _mix64_array(z)
+    z %= (np.repeat(ns, sizes) - step).astype(np.uint64)
+    j = z.astype(np.int64)
+    j += step
+    # Flat positions of the steps' own slots (i) and of their targets (j_i);
+    # steps are named by their index in this concatenation, which orders
+    # the steps of one draw.
+    shift = np.repeat(np.cumsum(ns) - ns, sizes)
+    src, tgt = shift + step, shift + j
+    latest = np.full(int(ns.sum()), -1, dtype=np.int64)
+    np.maximum.at(latest, tgt, np.arange(len(tgt)))
+    mask = np.zeros(len(latest), dtype=bool)
+    mask[src] = True
+    mask[tgt] = True
+    # Walk each tail's chain up to its root, dropping finished walks; a step
+    # that no step targets is its own parent.
+    up = latest[src]
+    up[up < 0] = np.flatnonzero(up < 0)
+    root = latest[tgt[j >= np.repeat(sizes, sizes)]]
+    live = np.flatnonzero(up[root] != root)
+    while live.size:
+        root[live] = up[root[live]]
+        live = live[up[root[live]] != root[live]]
+    mask[src[root]] = False
+    return mask
 
 
 def _u64_blocks(seed: int, count: int, size: int) -> Iterator[tuple[int, np.ndarray]]:

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 
 from nmpkit import (
+    MixingAudit,
     PseudoParams,
     estimate_thomason_params,
     gen_gnp,
     gen_pg2,
     gen_sum_cayley,
     BipartiteGraph,
+    edge_count_between,
     left_set,
     mixing_audit,
     mixing_deviation,
@@ -22,8 +24,8 @@ from nmpkit import (
     verify_thomason,
 )
 from nmpkit import pseudo
-from nmpkit.pseudo import _codegree_scan, _is_prime
-from nmpkit.rng import u64_stream, uniform_stream
+from nmpkit.pseudo import _codegree_scan, _incidence, _is_prime
+from nmpkit.rng import SplitMix64, derive_seed, u64_stream, uniform_stream
 
 from conftest import bipartite_graphs, complete_graph
 
@@ -100,7 +102,7 @@ def test_sum_cayley_singleton_subgroup_q5():
 def test_sum_cayley_q101_codegree_scan():
     res = gen_sum_cayley(101, 2)
     assert all(res.graph.degree(x) == 50 for x in range(101))
-    max_cod, _ = _codegree_scan(res.graph)
+    max_cod, _ = _codegree_scan(_incidence(res.graph))
     assert max_cod == 25  # regression from the exhaustive scan
     assert max_cod <= len(res.h) ** 2 / 101 + 2 * math.sqrt(101)
 
@@ -132,7 +134,7 @@ def test_pg2_q3():
     g = gen_pg2(3)
     assert (g.k, g.n) == (13, 13)
     assert all(g.degree(x) == 4 for x in range(13))
-    max_cod, _ = _codegree_scan(g)
+    max_cod, _ = _codegree_scan(_incidence(g))
     assert max_cod == 1
 
 
@@ -189,7 +191,7 @@ def test_verify_requires_two_left_vertices():
 
 def test_codegree_scan_matches_oracle():
     g = gen_gnp(12, 20, 0.4, 99)
-    max_cod, _ = _codegree_scan(g)
+    max_cod, _ = _codegree_scan(_incidence(g))
     oracle = max(
         codegree_oracle(g, u, v) for u in range(12) for v in range(u + 1, 12)
     )
@@ -220,7 +222,7 @@ def test_codegree_scan_row_max_matches_oracle(g, block):
     want = row_max_oracle(g)
     for rows in (pseudo._SCAN_ROWS, block):
         with mock.patch.object(pseudo, "_SCAN_ROWS", rows):
-            max_cod, row_max = _codegree_scan(g)
+            max_cod, row_max = _codegree_scan(_incidence(g))
         assert row_max.tolist() == want
         assert max_cod == max(want)
 
@@ -229,20 +231,20 @@ def test_codegree_scan_spans_several_blocks():
     g = gen_gnp(600, 40, 0.3, 17)
     m = g.matrix().astype(np.int64)
     gram = np.triu(m @ m.T, 1)
-    max_cod, row_max = _codegree_scan(g)
+    max_cod, row_max = _codegree_scan(_incidence(g))
     assert row_max.tolist() == gram.max(axis=1).tolist()
     assert max_cod == gram.max()
 
 
 def test_codegree_scan_float64_path_matches():
     graphs = [gen_gnp(300, 50, 0.4, 5), gen_pg2(7), complete_graph(3, 4), gen_gnp(2, 1, 0.0, 1)]
-    want = [_codegree_scan(g) for g in graphs]
+    want = [_codegree_scan(_incidence(g)) for g in graphs]
     params = PseudoParams(Fraction(1, 5), 0)
     reports = [verify_thomason(g, params) for g in graphs]
     with mock.patch.object(pseudo, "_F32_EXACT_BELOW", 1):
         assert all(pseudo._incidence(g).dtype == np.float64 for g in graphs)
         for g, (max_cod, row_max), rep in zip(graphs, want, reports):
-            got_max, got_rows = _codegree_scan(g)
+            got_max, got_rows = _codegree_scan(_incidence(g))
             assert got_max == max_cod and got_rows.tolist() == row_max.tolist()
             assert verify_thomason(g, params) == rep
     g = gen_pg2(7)
@@ -264,7 +266,7 @@ def first_pair_over(g, bound):
 def test_violating_pair_is_lexicographically_first(seed):
     n = 80
     base = gen_gnp(60, n, 0.15, seed)
-    bound = _codegree_scan(base)[0]
+    bound = _codegree_scan(_incidence(base))[0]
     mat = base.matrix()
     # Copy a few rows onto later ones: each copy shares its whole row, well
     # above the random codegrees, and may create more pairs over the bound.
@@ -356,6 +358,67 @@ def test_mixing_audit_detects_false_claim():
     assert rep.worst_margin < 0
 
 
+def mixing_audit_reference(g, params, samples, seed, form="thomason", h_size=None, q=None):
+    """The audit one sample at a time: draw A and B in stream order, count
+    e(A, B) on the graph, and check it with mixing_deviation."""
+    a_min = math.ceil(1 / params.p) if form == "thomason" else 1
+    violations, worst_margin, worst_sizes = 0, math.inf, (0, 0)
+    for trial in range(samples):
+        rng = SplitMix64(derive_seed(seed, trial))
+        asz = a_min + rng.randbelow(g.k - a_min + 1)
+        bsz = 1 + rng.randbelow(g.n)
+        a = left_set(rng.sample(g.k, asz))
+        b = right_set(rng.sample(g.n, bsz))
+        assert edge_count_between(g, a, b) == sum(
+            1 for x in a for y in g.neighbors(x).tolist() if y in b
+        )
+        holds, dev, bound = mixing_deviation(g, a, b, params, form, h_size, q)
+        violations += not holds
+        if bound - dev < worst_margin:
+            worst_margin, worst_sizes = bound - dev, (asz, bsz)
+    return MixingAudit(form, samples, violations, worst_margin, worst_sizes)
+
+
+AUDIT_CASES = {
+    "pg2_11": lambda: (gen_pg2(11), PseudoParams(Fraction(12, 133), 0), {}),
+    "sum_cayley_101": lambda: (
+        gen_sum_cayley(101, 2).graph, None, dict(form="alon_bourgain", h_size=50, q=101)
+    ),
+    "false_claim": lambda: (
+        complete_graph(20, 40), None, dict(form="alon_bourgain", h_size=11, q=41)
+    ),
+    "wide_left": lambda: (
+        gen_gnp(45, 17, 0.4, 6), None, dict(form="alon_bourgain", h_size=3, q=7)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_CASES))
+@pytest.mark.parametrize("samples", [1, pseudo._AUDIT_ROWS, pseudo._AUDIT_ROWS + 1, 150])
+def test_mixing_audit_matches_per_sample_loop(case, samples):
+    g, params, kw = AUDIT_CASES[case]()
+    for seed in (0, 5, 2**64 - 1):
+        want = mixing_audit_reference(g, params, samples, seed, **kw)
+        assert mixing_audit(g, params, samples, seed, **kw) == want
+    if case == "false_claim" and samples > 1:
+        assert want.violations > 0 and want.worst_margin < 0
+
+
+def test_mixing_audit_float64_path_matches():
+    g, params, kw = AUDIT_CASES["pg2_11"]()
+    want = mixing_audit(g, params, 70, 4, **kw)
+    with mock.patch.object(pseudo, "_F32_EXACT_BELOW", 1):
+        assert pseudo._incidence(g).dtype == np.float64
+        assert mixing_audit(g, params, 70, 4, **kw) == want
+
+
+def test_mixing_audit_pg2_47_is_pinned():
+    # Measured with the one-sample-at-a-time audit.
+    g = gen_pg2(47)
+    rep = mixing_audit(g, PseudoParams(Fraction(48, g.n), 0), 200, 1)
+    assert rep == MixingAudit("thomason", 200, 0, 860.5067457246096, (523, 30))
+
+
 def test_mixing_audit_precondition():
     g = gen_gnp(10, 10, 0.2, 8)
     with pytest.raises(ValueError):
@@ -373,6 +436,7 @@ def test_robust_delete_pg2_11():
     # t = 0.3 * (12/133) * (133/3 - 1); no vertex can exceed (d/n + t) * D.
     assert res.threshold_t == pytest.approx(0.3 * (12 / 133) * (133 / 3 - 1))
     assert len(res.c_x) == 0
+    assert res.c_y.members == (11, 20, 120)
     assert res.p1 == Fraction(12, 133) * (1 - Fraction(0.3))
     assert float(res.eps1) == pytest.approx(4.5)
     assert res.reverify.passed
@@ -385,6 +449,44 @@ def test_robust_delete_eta_bound():
     if 2 * t * t * d >= (49 / 64) / 0.3:
         eta = 2 * math.exp(-(49 / 64) / 0.3)
         assert len(res.c_x) <= eta * g.k
+
+
+def bad_set_reference(g, t_set, t, d_size):
+    """Left vertices with |N(u) & T| >= (d(u)/n + t) * D, one at a time."""
+    return tuple(
+        u for u in range(g.k)
+        if sum(1 for y in g.neighbors(u).tolist() if y in t_set) >= (g.degree(u) / g.n + t) * d_size
+    )
+
+
+@pytest.mark.parametrize("d_size", [4, 5])
+def test_robust_delete_bad_set_matches_per_vertex_loop(d_size):
+    g = gen_pg2(7)
+    found = {}
+    for seed in range(30):
+        res = robust_delete(g, Fraction(8, 57), 0, eps=0.45, d_size=d_size, seed=seed)
+        rng = SplitMix64(derive_seed(seed, res.attempts - 1))
+        t_set = set(rng.sample(g.n, d_size))
+        assert res.c_y.members == tuple(sorted(t_set))
+        assert res.c_x.members == bad_set_reference(g, t_set, res.threshold_t, d_size)
+        found[seed] = (res.c_x.members, res.attempts)
+    # Recorded with the per-vertex loop.
+    if d_size == 4:
+        assert found[20] == ((), 2)
+    else:
+        assert found[20] == ((14,), 1) and found[29] == ((21,), 1)
+
+
+def test_robust_delete_bad_count_at_the_limit():
+    # Left u is adjacent to the 8 vertices 8*(u mod 8) + i, so d(u)/n = 1/8,
+    # and with eps = 1/4, D = 1, p0 = 1/18 the limit (d(u)/n + t) * D is
+    # 1/8 + 7/8 = 1.0 exactly: the neighbors of the one vertex in T are bad.
+    k, n = 324, 64
+    g = BipartiteGraph.from_edges(k, n, sorted({(u, (8 * u + i) % n) for u in range(k) for i in range(8)}))
+    res = robust_delete(g, Fraction(1, 18), 40, eps=0.25, d_size=1, seed=0)
+    assert res.attempts == 1 and (8 / n + res.threshold_t) * 1 == 1.0
+    (y,) = res.c_y.members
+    assert res.c_x.members == tuple(g.rneighbors(y).tolist())
 
 
 def test_robust_delete_rejects_bad_d():

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
-from nmpkit.rng import SplitMix64, _u64_blocks, derive_seed, mix64, u64_stream, uniform_stream
+from nmpkit.rng import (
+    SplitMix64,
+    _sample_masks,
+    _u64_blocks,
+    derive_seed,
+    mix64,
+    u64_stream,
+    uniform_stream,
+)
 
 
 def test_mix64_reference_values():
@@ -93,6 +101,46 @@ def test_sample_matches_reference_edges(seed, n, size):
 @given(st.integers(0, 2**64 - 1), st.integers(1, 400), st.data())
 def test_sample_matches_reference(seed, n, data):
     assert_sample_matches_reference(seed, n, data.draw(st.integers(0, n)))
+
+
+@st.composite
+def draws(draw):
+    """(start state, N, m) of one sample(N, m) draw; some states wrap."""
+    n = draw(st.integers(0, 60))
+    size = draw(st.integers(0, n))
+    state = draw(st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 200, 2**64 - 1)))
+    return state, n, size
+
+
+def assert_masks_match_sample(batch):
+    states, ns, sizes = zip(*batch)
+    mask = _sample_masks(states, ns, sizes)
+    assert mask.dtype == bool and len(mask) == sum(ns)
+    cuts = np.cumsum((0,) + ns).tolist()
+    for (state, n, size), lo, hi in zip(batch, cuts, cuts[1:]):
+        got = np.flatnonzero(mask[lo:hi]).tolist()
+        assert got == sorted(SplitMix64(state).sample(n, size)), (state, n, size)
+
+
+@given(st.lists(draws(), min_size=1, max_size=6))
+@example([(7, 5, 0), (7, 1, 1), (2**64 - 1, 9, 9), (0, 0, 0), (2**64 - 2, 1, 0)])
+@example([(2**64 - 1, 60, 60), (2**64 - 3, 60, 59), (2**64 - 60, 2, 1)])
+def test_sample_masks_match_sample(batch):
+    assert_masks_match_sample(batch)
+
+
+def test_sample_masks_match_sample_on_long_chains():
+    # Draws close to N make long chains of retargeted positions.
+    sizes = [2257, 2256, 2000, 1129, 1, 0]
+    batch = [(derive_seed(3, i), 2257, m) for i, m in enumerate(sizes)]
+    assert_masks_match_sample(batch + [(2**64 - 5, 133, 13), (123, 2257, 2257)])
+
+
+def test_sample_masks_validate():
+    with pytest.raises(ValueError):
+        _sample_masks([0, 0], [3, 4], [3, 5])
+    with pytest.raises(ValueError):
+        _sample_masks([0], [3], [-1])
 
 
 def test_sample_validates():
