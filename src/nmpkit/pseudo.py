@@ -11,9 +11,10 @@ Codegrees are the off-diagonal of the Gram matrix A A^T of the k x n 0/1
 incidence matrix A, computed in row blocks by numpy's BLAS matrix product.
 The float product is still exact: each codegree is a sum of at most n ones,
 so every partial sum is an integer no larger than n, and float32 holds every
-integer below 2^24 exactly (float64 is used from max(k, n) = 2^24 on). The
-mixing audit counts e(A, B) in the same matrix, a block of samples per
-product.
+integer below 2^24 exactly (float64 is used from n = 2^24 on). A sparse
+graph's codegrees are instead counted pair by pair from the right-side
+lists, in integers. The mixing audit counts e(A, B) on the edge list, 32
+samples per pass, with one bit per sample in a uint32 word.
 
 Generators: seeded G(k, n, p), sum-Cayley graphs over a prime field, and
 point-line incidences of the projective plane PG(2, q). A sampled mixing
@@ -73,20 +74,24 @@ class PseudoReport:
     estimated: PseudoParams | None = None
 
 
-# A codegree is a sum of at most n products of 0/1 entries, and an audit's
-# |N(y) & A| one of at most k, so float32 accumulates both exactly while
-# max(k, n) < 2**24 (its 24-bit significand).
+# A codegree is a sum of at most n products of 0/1 entries, so float32
+# accumulates it exactly while n < 2**24 (its 24-bit significand).
 _F32_EXACT_BELOW = 2 ** 24
 # Rows per Gram block: the block's product is _SCAN_ROWS x k.
 _SCAN_ROWS = 256
-# Samples per mixing-audit block: the block's product is _AUDIT_ROWS x n.
+# Counts per pair-count block: the block's left rows times k.
+_PAIR_BINS = 1 << 20
+# The pair count replaces the Gram scan when the graph has at most
+# k*k*n / _PAIR_RATIO codegree pairs (see _codegrees).
+_PAIR_RATIO = 2048
+# Samples per mixing-audit block: one bit each in a uint32 word per edge.
 _AUDIT_ROWS = 32
+_AUDIT_BITS = np.arange(_AUDIT_ROWS, dtype=np.uint32)
 
 
 def _incidence(g: BipartiteGraph) -> np.ndarray:
     """The k x n 0/1 matrix in the narrowest float dtype that counts exactly."""
-    exact32 = max(g.k, g.n) < _F32_EXACT_BELOW
-    a = np.zeros((g.k, g.n), dtype=np.float32 if exact32 else np.float64)
+    a = np.zeros((g.k, g.n), dtype=np.float32 if g.n < _F32_EXACT_BELOW else np.float64)
     xs, ys = g.edge_arrays()
     a[xs, ys] = 1
     return a
@@ -110,13 +115,59 @@ def _codegree_scan(a: np.ndarray) -> tuple[int, np.ndarray]:
     return int(row_max.max()) if k >= 2 else 0, row_max
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The integer ranges [starts[i], starts[i] + lens[i]) laid end to end."""
+    out = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    out += np.arange(len(out))
+    return out
+
+
+def _pair_scan(g: BipartiteGraph) -> tuple[int, np.ndarray]:
+    """_codegree_scan's result, from the pairs u < v of every N(y).
+
+    rindices lists each N(y) in increasing order, so the partners v > u of
+    the entry u at position i are the rest of its list. A block of left rows
+    u at a time, every (u, v) pair is one key and np.bincount counts them.
+    The work is integer, in one thread, and grows with the number of pairs,
+    sum over y of C(deg y, 2), not with k*k*n.
+    """
+    k = g.k
+    rindptr, rindices = g.rindptr, g.rindices
+    rest = np.repeat(rindptr[1:], np.diff(rindptr)) - np.arange(len(rindices)) - 1
+    rows = max(1, _PAIR_BINS // k)
+    row_max = np.zeros(k, dtype=np.int64)
+    for s in range(0, k - 1, rows):
+        e = min(s + rows, k - 1)
+        i = np.flatnonzero((rindices >= s) & (rindices < e))
+        lens = rest[i]
+        keys = rindices[_ranges(i + 1, lens)]
+        keys += np.repeat((rindices[i] - s) * k, lens)
+        counts = np.bincount(keys, minlength=(e - s) * k)
+        row_max[s:e] = counts.reshape(e - s, k).max(axis=1)
+    return int(row_max.max()) if k >= 2 else 0, row_max
+
+
+def _codegrees(g: BipartiteGraph) -> tuple[int, np.ndarray]:
+    """_codegree_scan's result, by whichever scan costs less on g.
+
+    The Gram scan does k*k*n/2 multiply-adds in BLAS, the pair count one
+    bincount key per codegree pair. On a 2-vCPU VM, with BLAS on both CPUs,
+    the two broke even near k*k*n / pairs = 2000: PG(2, 31) at 1988 took
+    10 ms by Gram (incidence build included) and 14 ms by pairs,
+    G(1200, 1200, 1/32) at 2041 took 14 and 10 ms, and PG(2, 47) at 4516
+    took 96 and 33 ms. The Gram scan's time also spread far more from call
+    to call when the second CPU was busy. So the pair count is used up to
+    k*k*n / _PAIR_RATIO pairs: for G(k, n, p) up to about p = 1/32, for
+    PG(2, q) from about q = 32 on.
+    """
+    d = np.diff(g.rindptr)
+    if int((d * (d - 1) // 2).sum()) * _PAIR_RATIO <= g.k * g.k * g.n:
+        return _pair_scan(g)
+    return _codegree_scan(_incidence(g))
+
+
 def verify_thomason(g: BipartiteGraph, params: PseudoParams) -> PseudoReport:
     """Exact degree/codegree scan against (p, eps)."""
-    return _verify_thomason(g, params, _incidence(g))
-
-
-def _verify_thomason(g: BipartiteGraph, params: PseudoParams, a: np.ndarray) -> PseudoReport:
-    """verify_thomason on the graph's incidence matrix a, built by the caller."""
     if g.k < 2:
         raise ValueError("pseudorandomness verification requires k >= 2")
     degs = np.diff(g.indptr)
@@ -126,7 +177,7 @@ def _verify_thomason(g: BipartiteGraph, params: PseudoParams, a: np.ndarray) -> 
     if min_deg < deg_bound:
         violating_vertex = int(np.argmax(degs < math.ceil(deg_bound)))
 
-    max_cod, row_max = _codegree_scan(a)
+    max_cod, row_max = _codegrees(g)
     cod_bound = (1 + params.eps) * params.p * params.p * g.n
     violating_pair = None
     if max_cod > cod_bound:
@@ -134,7 +185,10 @@ def _verify_thomason(g: BipartiteGraph, params: PseudoParams, a: np.ndarray) -> 
         # exceed its floor.
         limit = math.floor(cod_bound)
         u = int(np.argmax(row_max > limit))
-        v = u + 1 + int(np.argmax(a[u + 1:] @ a[u] > limit))
+        ys = g.neighbors(u)
+        starts = g.rindptr[ys]
+        cod_u = np.bincount(g.rindices[_ranges(starts, g.rindptr[ys + 1] - starts)], minlength=g.k)
+        v = u + 1 + int(np.argmax(cod_u[u + 1:] > limit))
         violating_pair = (u, v)
     passed = violating_vertex is None and violating_pair is None
     return PseudoReport(
@@ -154,7 +208,7 @@ def estimate_thomason_params(g: BipartiteGraph) -> PseudoParams:
     min_deg = int(np.diff(g.indptr).min())
     if min_deg < 1:
         raise ValueError("graph has an isolated left vertex; p would be 0")
-    max_cod, _ = _codegree_scan(_incidence(g))
+    max_cod, _ = _codegrees(g)
     p = Fraction(min_deg, g.n)
     eps = max(Fraction(0), Fraction(max_cod * g.n, min_deg * min_deg) - 1)
     return PseudoParams(p=p, eps=eps)
@@ -331,6 +385,27 @@ def _mixing_check(
     return bool(holds), abs(float(dev)), math.sqrt(float(bound_sq))
 
 
+def _block_edge_counts(
+    xs: np.ndarray, ys: np.ndarray, in_a: np.ndarray, in_b: np.ndarray
+) -> list[int]:
+    """e(A_t, B_t) for every row t of the left masks in_a and right masks
+    in_b (at most _AUDIT_ROWS rows), on the edges (xs[i], ys[i]).
+
+    Sample t is bit t of a uint32 word per vertex; an edge's word ANDs its
+    ends' words, and e(A_t, B_t) counts the edges whose word has bit t.
+    Integer work in one thread, so the count is exact and its time does not
+    depend on a BLAS thread pool.
+    """
+    bits = _AUDIT_BITS[:len(in_a), None]
+    words = np.bitwise_or.reduce(in_a.astype(np.uint32) << bits, axis=0)[xs]
+    words &= np.bitwise_or.reduce(in_b.astype(np.uint32) << bits, axis=0)[ys]
+    hit = np.empty_like(words)
+    return [
+        int(np.count_nonzero(np.bitwise_and(words, np.uint32(1) << t, out=hit)))
+        for t in bits.ravel()
+    ]
+
+
 def mixing_audit(
     g: BipartiteGraph,
     params: PseudoParams | None,
@@ -350,11 +425,8 @@ def mixing_audit(
     |A| >= ceil(1/p) is enforced and (g, params) must verify first.
 
     Samples go in blocks of _AUDIT_ROWS: the block's A and B draws are
-    resolved together by rng._sample_masks, and every e(A_t, B_t) is the
-    row-wise dot of (A masks @ incidence matrix) with the B masks, exact as
-    in the codegree scan. The incidence matrix (4*k*n bytes while
-    max(k, n) < 2^24) is held for the whole audit, and for the thomason form
-    it is the one the precondition scan used.
+    resolved together by rng._sample_masks, and every e(A_t, B_t) is counted
+    in one pass over the edge list by _block_edge_counts.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -362,14 +434,12 @@ def mixing_audit(
     if form == "thomason":
         if params is None:
             raise ValueError("thomason form needs params")
-        a = _incidence(g)
-        if not _verify_thomason(g, params, a).passed:
+        if not verify_thomason(g, params).passed:
             raise ValueError("graph does not verify the claimed parameters")
         a_min = math.ceil(1 / params.p)
         if a_min > k:
             raise ValueError(f"no valid subset size: ceil(1/p) = {a_min} > k = {k}")
     elif form == "alon_bourgain":
-        a = _incidence(g)
         a_min = 1
     else:
         raise ValueError(f"unknown bound form {form!r}")
@@ -377,6 +447,7 @@ def mixing_audit(
     violations = 0
     worst_margin = math.inf
     worst_sizes = (0, 0)
+    xs, ys = g.edge_arrays()
     for lo in range(0, samples, _AUDIT_ROWS):
         block = range(lo, min(lo + _AUDIT_ROWS, samples))
         starts, asz, bsz = [], [], []
@@ -390,10 +461,7 @@ def mixing_audit(
         masks = _sample_masks(starts, [k] * rows + [n] * rows, asz + bsz)
         in_a = masks[:rows * k].reshape(rows, k)
         in_b = masks[rows * k:].reshape(rows, n)
-        # Entry (t, y) of the product is |N(y) & A_t| <= k, exact in a's
-        # dtype; the row sums reach k*n, so they are taken in float64.
-        counts = (in_a.astype(a.dtype) @ a) * in_b
-        edges = counts.sum(axis=1, dtype=np.float64).astype(np.int64).tolist()
+        edges = _block_edge_counts(xs, ys, in_a, in_b)
         for e, sa, sb in zip(edges, asz, bsz):
             holds, dev, bound = _mixing_check(e, sa, sb, n, params, form, h_size, q)
             if not holds:

@@ -227,6 +227,67 @@ def test_codegree_scan_row_max_matches_oracle(g, block):
         assert max_cod == max(want)
 
 
+@given(
+    st.one_of(
+        bipartite_graphs(max_k=12, max_n=10, min_k=1),
+        st.builds(complete_graph, st.integers(1, 9), st.integers(1, 9)),
+    ),
+    st.integers(1, 4),
+)
+@example(BipartiteGraph.from_edges(2, 1, []), 1)
+@example(BipartiteGraph.from_edges(1, 3, [(0, 0), (0, 2)]), 1)
+@example(complete_graph(5, 1), 3)
+@settings(max_examples=120)
+def test_pair_scan_matches_the_gram_scan(g, block):
+    # Small blocks make the pair count cross block boundaries at these sizes.
+    want_max, want_rows = _codegree_scan(_incidence(g))
+    for bins in (pseudo._PAIR_BINS, block * g.k):
+        with mock.patch.object(pseudo, "_PAIR_BINS", bins):
+            max_cod, row_max = pseudo._pair_scan(g)
+        assert row_max.tolist() == want_rows.tolist()
+        assert max_cod == want_max
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_pg2(11),
+    lambda: gen_sum_cayley(101, 2).graph,
+    lambda: gen_gnp(600, 40, 0.3, 17),
+    lambda: gen_gnp(40, 300, 0.05, 2),
+])
+def test_pair_scan_matches_the_gram_scan_on_larger_graphs(make):
+    g = make()
+    want_max, want_rows = _codegree_scan(_incidence(g))
+    with mock.patch.object(pseudo, "_PAIR_BINS", 7 * g.k):
+        max_cod, row_max = pseudo._pair_scan(g)
+    assert max_cod == want_max and row_max.tolist() == want_rows.tolist()
+
+
+def test_codegrees_picks_the_scan_by_pair_count():
+    # PG(2, 47) has k*k*n / pairs = 4516 and takes the pair count; PG(2, 31)
+    # (1988) and G(300, 300, 0.3) take the Gram scan.
+    for g, pairs in ((gen_pg2(47), True), (gen_pg2(31), False), (gen_gnp(300, 300, 0.3, 1), False)):
+        with mock.patch.object(pseudo, "_pair_scan", wraps=pseudo._pair_scan) as pair, \
+                mock.patch.object(pseudo, "_codegree_scan", wraps=pseudo._codegree_scan) as gram:
+            pseudo._codegrees(g)
+        assert (pair.call_count, gram.call_count) == ((1, 0) if pairs else (0, 1))
+
+
+@given(
+    bipartite_graphs(max_k=8, max_n=10, min_k=2),
+    st.fractions(Fraction(1, 50), 1, max_denominator=50),
+    st.fractions(0, 2, max_denominator=50),
+)
+@settings(max_examples=80)
+def test_verify_and_estimate_agree_on_both_scans(g, p, eps):
+    params = PseudoParams(p, eps)
+    got = []
+    for ratio in (0, 10**30):  # every graph takes the pair count, then the Gram scan
+        with mock.patch.object(pseudo, "_PAIR_RATIO", ratio):
+            est = None if min(np.diff(g.indptr)) == 0 else estimate_thomason_params(g)
+            got.append((verify_thomason(g, params), est))
+    assert got[0] == got[1]
+
+
 def test_codegree_scan_spans_several_blocks():
     g = gen_gnp(600, 40, 0.3, 17)
     m = g.matrix().astype(np.int64)
@@ -282,6 +343,8 @@ def test_violating_pair_is_lexicographically_first(seed):
     rep = verify_thomason(g, params)
     assert rep.violating_pair == want
     assert not rep.passed
+    with mock.patch.object(pseudo, "_PAIR_RATIO", 0):
+        assert verify_thomason(g, params) == rep
 
 
 @given(bipartite_graphs(max_k=8, max_n=10, min_k=2))
@@ -404,12 +467,31 @@ def test_mixing_audit_matches_per_sample_loop(case, samples):
         assert want.violations > 0 and want.worst_margin < 0
 
 
-def test_mixing_audit_float64_path_matches():
-    g, params, kw = AUDIT_CASES["pg2_11"]()
-    want = mixing_audit(g, params, 70, 4, **kw)
-    with mock.patch.object(pseudo, "_F32_EXACT_BELOW", 1):
-        assert pseudo._incidence(g).dtype == np.float64
-        assert mixing_audit(g, params, 70, 4, **kw) == want
+def test_mixing_audit_counts_without_the_incidence_matrix():
+    # Only the thomason precondition scan builds the k x n matrix.
+    g, params, kw = AUDIT_CASES["sum_cayley_101"]()
+    want = mixing_audit_reference(g, params, 40, 4, **kw)
+    with mock.patch.object(pseudo, "_incidence", side_effect=AssertionError("matrix built")):
+        assert mixing_audit(g, params, 40, 4, **kw) == want
+
+
+@given(bipartite_graphs(max_k=9, max_n=12), st.data())
+@settings(max_examples=80)
+def test_block_edge_counts_match_edge_count_between(g, data):
+    rows = data.draw(st.integers(1, pseudo._AUDIT_ROWS), label="rows")
+    in_a = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=g.k, max_size=g.k), min_size=rows, max_size=rows)),
+        dtype=bool).reshape(rows, g.k)
+    in_b = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=g.n, max_size=g.n), min_size=rows, max_size=rows)),
+        dtype=bool).reshape(rows, g.n)
+    xs, ys = g.edge_arrays()
+    want = [
+        edge_count_between(g, left_set(np.flatnonzero(ra).tolist()),
+                           right_set(np.flatnonzero(rb).tolist()))
+        for ra, rb in zip(in_a, in_b)
+    ]
+    assert pseudo._block_edge_counts(xs, ys, in_a, in_b) == want
 
 
 def test_mixing_audit_pg2_47_is_pinned():
