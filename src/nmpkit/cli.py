@@ -17,6 +17,7 @@ from .decompose import approx_nmp
 from .euclid import build_euclidean_tree, euclid_schedule
 from .graph import (
     FormatError,
+    _read_text,
     is_connected,
     load_graph,
     save_graph,
@@ -280,8 +281,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        arr = parse_star_array(fh.read())
+    arr = parse_star_array(_read_text(args.file))
     sol = solve_star_array(arr)
     text = format_star_solution(sol)
     if args.out:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -35,6 +36,22 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 class FormatError(ValueError):
     """Malformed input file (graph or star-array)."""
+
+
+@contextmanager
+def _utf8():
+    """Report text that is not UTF-8 as a FormatError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not valid UTF-8 text ({exc.reason})") from None
+
+
+def _read_text(path: str) -> str:
+    """A graph or star-array file's text. Text mode turns CRLF line ends into
+    LF, which keeps a CRLF graph file on parse_graph's bulk path."""
+    with open(path, "r", encoding="utf-8") as fh, _utf8():
+        return fh.read()
 
 
 class _BadEdge(ValueError):
@@ -114,12 +131,15 @@ def _row_starts(rows: np.ndarray, count: int) -> np.ndarray:
     return ptr
 
 
-def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the entries of `rows`, row after row, and each row's length."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return shift + np.arange(len(shift)), counts
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The integer ranges [starts[i], starts[i] + lens[i]) laid end to end.
+
+    With starts = indptr[rows] and lens = indptr[rows + 1] - starts, these
+    are the positions of the CSR rows' entries, row after row.
+    """
+    out = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    out += np.arange(len(out))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +417,8 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
     paths give the same graph, or the same error.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        with _utf8():
+            text = text.decode("utf-8")
     end = _header_end(text)
     if end is None or not _CANONICAL_EDGES.fullmatch(text, end):
         return _parse_lines(text)
@@ -416,8 +437,7 @@ def serialize_graph(g: BipartiteGraph, comments: Iterable[str] = ()) -> str:
 
 
 def load_graph(path: str) -> BipartiteGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def save_graph(g: BipartiteGraph, path: str, comments: Iterable[str] = ()) -> None:
@@ -440,9 +460,10 @@ def neighborhood(g: BipartiteGraph, s: VertexSet) -> VertexSet:
         indptr, indices, other = g.indptr, g.indices, g.n
     else:
         indptr, indices, other = g.rindptr, g.rindices, g.k
-    pos, _ = _row_positions(indptr, _ids(s))
+    ids = _ids(s)
+    starts = indptr[ids]
     mark = np.zeros(other, dtype=bool)
-    mark[indices[pos]] = True
+    mark[indices[_ranges(starts, indptr[ids + 1] - starts)]] = True
     return VertexSet(s.side.other(), tuple(np.flatnonzero(mark).tolist()))
 
 
@@ -452,8 +473,9 @@ def edge_count_between(g: BipartiteGraph, a: VertexSet, b: VertexSet) -> int:
     _check_side(g, b, Side.RIGHT)
     in_b = np.zeros(g.n, dtype=bool)
     in_b[_ids(b)] = True
-    pos, _ = _row_positions(g.indptr, _ids(a))
-    return int(np.count_nonzero(in_b[g.indices[pos]]))
+    ids = _ids(a)
+    starts = g.indptr[ids]
+    return int(np.count_nonzero(in_b[g.indices[_ranges(starts, g.indptr[ids + 1] - starts)]]))
 
 
 def induced_subgraph(
@@ -473,9 +495,11 @@ def induced_subgraph(
         return None, left_orig, right_orig
     right_new = np.full(g.n, -1, dtype=np.int64)
     right_new[_ids(b)] = np.arange(len(right_orig))
-    pos, counts = _row_positions(g.indptr, _ids(a))
-    xs = np.repeat(np.arange(len(left_orig)), counts)
-    ys = right_new[g.indices[pos]]
+    ids = _ids(a)
+    starts = g.indptr[ids]
+    lens = g.indptr[ids + 1] - starts
+    xs = np.repeat(np.arange(len(left_orig)), lens)
+    ys = right_new[g.indices[_ranges(starts, lens)]]
     keep = ys >= 0
     # Both relabellings keep the original order, so the keys come out sorted.
     keys = xs[keep] * len(right_orig) + ys[keep]

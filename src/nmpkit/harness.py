@@ -35,8 +35,13 @@ class SweepConfig:
             raise ValueError("exactly one of p_grid / c_grid must be given")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # c and p convert through ln(n)/k, which needs k >= 1 and n >= 2.
+        if self.k < 1 or self.n < 2:
+            raise ValueError(f"a sweep needs k >= 1 and n >= 2, got k={self.k}, n={self.n}")
         if self.p_grid is not None and any(not 0 <= p <= 1 for p in self.p_grid):
             raise ValueError("probabilities must lie in [0, 1]")
+        if self.c_grid is not None and any(not 0 <= c < math.inf for c in self.c_grid):
+            raise ValueError("multipliers c must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,13 @@ augmenting phases; S and |N(S)| are the vertices its final breadth-first
 search reaches. That source side is the same for every maximum flow, so
 the witness does not depend on the solver. A vertex whose degree is below
 its quota (k*deg(x) < n on the left, n*deg(y) < k on the right) settles
-Violated before any flow; the certificate then runs the flow for its
-witness only when a witness field is first read, so a caller that reads
-only the verdict never pays for it.
+Violated before any flow.
+
+The certificate fills the fields that come from the flow on their first
+read, so a caller that reads only the verdict pays for neither: a HasNMP
+multiplicity becomes a plain dict {(x, y): m} over every edge, zeros
+included, and a Violated graph the degree test settled runs the flow for
+its witness.
 
 Also provided: a 2^k brute-force oracle over all subsets, the independent-set
 inequality check, and transfer of a right-side witness to a left-side one.
@@ -24,7 +28,6 @@ inequality check, and transfer of a right-side witness to a left-side one.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,84 +42,43 @@ class Verdict(Enum):
     VIOLATED = "violated"
 
 
-_WITNESS_FIELDS = ("witness", "witness_neighborhood_size")
-
-
 @dataclass(frozen=True)
 class NMPCertificate:
     verdict: Verdict
     row_sum: int  # n/gcd(k, n)
     col_sum: int  # k/gcd(k, n)
-    multiplicity: Mapping[tuple[int, int], int] | None = None
-    # A default_factory leaves no class attribute, so reading a witness field
-    # that check_nmp left unsolved reaches __getattr__.
+    # A default_factory leaves no class attribute, so reading a field that
+    # check_nmp left pending reaches __getattr__.
+    multiplicity: dict[tuple[int, int], int] | None = field(default_factory=lambda: None)
     witness: VertexSet | None = field(default_factory=lambda: None)
     witness_neighborhood_size: int | None = field(default_factory=lambda: None)
 
     def __getattr__(self, name: str):
-        # Normal lookup failed: for a witness field of a certificate from
-        # _degree_settled, that is its first read.
-        g = self.__dict__.get("_unsolved")
-        if g is None or name not in _WITNESS_FIELDS:
+        # Normal lookup failed: for a field that _defer left pending, this is
+        # its first read. Fill the pending fields, then drop the pending state.
+        pending = self.__dict__.get("_pending")
+        if pending is None or name not in self.__dataclass_fields__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value, _, witness, witness_nbhd = _solve(g, self.row_sum, self.col_sum)
-        if value == g.k * self.row_sum:
-            raise RuntimeError("the degree test failed on a graph whose flow saturates")
-        self.__dict__.update(witness=left_set(witness), witness_neighborhood_size=witness_nbhd)
-        self.__dict__.pop("_unsolved", None)
+        g, flow = pending
+        if flow is not None:
+            self.__dict__["multiplicity"] = dict(zip(g.edges(), flow))
+        else:
+            value, _, witness, witness_nbhd = _solve(g, self.row_sum, self.col_sum)
+            if value == g.k * self.row_sum:
+                raise RuntimeError("the degree test failed on a graph whose flow saturates")
+            self.__dict__.update(witness=left_set(witness), witness_neighborhood_size=witness_nbhd)
+        self.__dict__.pop("_pending", None)
         return self.__dict__[name]
 
-    @classmethod
-    def _degree_settled(cls, g: BipartiteGraph, row_sum: int, col_sum: int) -> "NMPCertificate":
-        """Violated certificate whose witness fields are solved on first read."""
-        cert = cls(Verdict.VIOLATED, row_sum, col_sum)
-        for name in _WITNESS_FIELDS:
-            del cert.__dict__[name]
-        cert.__dict__["_unsolved"] = g
-        return cert
-
-
-class _FlowMultiplicity(Mapping):
-    """Read-only {(x, y): m} view of a flow on g's edges in CSR order.
-
-    The dict is built on the first read, so a caller that reads only the
-    verdict never pays for one tuple key per edge. It has the dict's keys in
-    (x, y) order, zeros included, and compares equal to it.
-    """
-
-    __slots__ = ("_g", "_flow", "_dict")
-
-    def __init__(self, g: BipartiteGraph, flow: list[int]):
-        self._g = g
-        self._flow = flow
-        self._dict: dict[tuple[int, int], int] | None = None
-
-    def _items(self) -> dict[tuple[int, int], int]:
-        if self._dict is None:
-            self._dict = dict(zip(self._g.edges(), self._flow))
-        return self._dict
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        # dict(view) calls this once per edge, so it skips the _items() call.
-        d = self._dict
-        if d is None:
-            d = self._items()
-        return d[key]
-
-    def __iter__(self):
-        return iter(self._items())
-
-    def __len__(self) -> int:
-        return len(self._flow)
-
-    def __eq__(self, other: object) -> bool:
-        return self._items() == other
-
-    def items(self):
-        return self._items().items()
-
-    def __repr__(self) -> str:
-        return repr(self._items())
+    def _defer(self, g: BipartiteGraph, flow: list[int] | None) -> "NMPCertificate":
+        """Leave the fields that come from g's flow to their first read: the
+        multiplicity, given the saturating flow in CSR order, or the witness
+        fields, given no flow."""
+        pending = ("multiplicity",) if flow is not None else ("witness", "witness_neighborhood_size")
+        for name in pending:
+            del self.__dict__[name]
+        self.__dict__["_pending"] = (g, flow)
+        return self
 
 
 @dataclass(frozen=True)
@@ -156,26 +118,21 @@ def _fails_degree_test(g: BipartiteGraph, row_sum: int, col_sum: int) -> bool:
 def check_nmp(g: BipartiteGraph) -> NMPCertificate:
     """Decide NMP exactly; return a multiplicity function or a witness.
 
-    The multiplicity is a read-only mapping that builds its dict on the
-    first read. A graph with a vertex of too small a degree is Violated
-    without a flow; its certificate solves the flow, and so the same min-cut
-    witness, on the first read of a witness field. A caller that reads only
-    the verdict pays for neither.
+    The multiplicity is a plain dict, built from the flow on its first
+    read. A graph with a vertex of too small a degree is Violated without a
+    flow; its certificate solves the flow, and so the same min-cut witness,
+    on the first read of a witness field. A caller that reads only the
+    verdict pays for neither.
     """
     if g.k < 1 or g.n < 1:
         raise ValueError("check_nmp requires nonempty sides")
     d = math.gcd(g.k, g.n)
     row_sum, col_sum = g.n // d, g.k // d
     if _fails_degree_test(g, row_sum, col_sum):
-        return NMPCertificate._degree_settled(g, row_sum, col_sum)
+        return NMPCertificate(Verdict.VIOLATED, row_sum, col_sum)._defer(g, None)
     value, flow, witness, witness_nbhd = _solve(g, row_sum, col_sum)
     if value == g.k * row_sum:
-        return NMPCertificate(
-            verdict=Verdict.HAS_NMP,
-            row_sum=row_sum,
-            col_sum=col_sum,
-            multiplicity=_FlowMultiplicity(g, flow),
-        )
+        return NMPCertificate(Verdict.HAS_NMP, row_sum, col_sum)._defer(g, flow)
     return NMPCertificate(
         verdict=Verdict.VIOLATED,
         row_sum=row_sum,

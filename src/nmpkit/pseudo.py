@@ -36,6 +36,7 @@ import numpy as np
 from .graph import (
     BipartiteGraph,
     VertexSet,
+    _ranges,
     edge_count_between,
     induced_subgraph,
     left_set,
@@ -113,13 +114,6 @@ def _codegree_scan(a: np.ndarray) -> tuple[int, np.ndarray]:
         c[:, :e - s][np.tri(e - s, dtype=bool)] = -1
         row_max[s:e] = c.max(axis=1)
     return int(row_max.max()) if k >= 2 else 0, row_max
-
-
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The integer ranges [starts[i], starts[i] + lens[i]) laid end to end."""
-    out = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    out += np.arange(len(out))
-    return out
 
 
 def _pair_scan(g: BipartiteGraph) -> tuple[int, np.ndarray]:
@@ -526,21 +520,17 @@ def robust_delete(
     rows, _ = g.edge_arrays()
     limits = (np.diff(g.indptr) / n + t) * d_size
     for attempt in range(max_attempts):
-        rng = SplitMix64(derive_seed(seed, attempt))
-        t_set = set(rng.sample(n, d_size))
-        in_t = np.zeros(n, dtype=bool)
-        in_t[list(t_set)] = True
+        # T is SplitMix64(derive_seed(seed, attempt)).sample(n, D), as a mask.
+        in_t = _sample_masks([derive_seed(seed, attempt)], [n], [d_size])
         # |N(u) & T| for every left u: the rows of the edges that end in T.
-        hits = np.bincount(rows[in_t[g.indices]], minlength=k)
-        bad = np.flatnonzero(hits >= limits).tolist()
-        if len(bad) <= bad_bound:
-            c_x = left_set(bad)
-            c_y = right_set(t_set)
+        bad = np.bincount(rows[in_t[g.indices]], minlength=k) >= limits
+        if np.count_nonzero(bad) <= bad_bound:
+            c_x = left_set(np.flatnonzero(bad).tolist())
+            c_y = right_set(np.flatnonzero(in_t).tolist())
             p1 = params0.p * (1 - Fraction(eps))
             eps1 = 5 * (params0.eps + 3 * Fraction(eps))
-            bad_set = set(bad)
-            keep_x = left_set(x for x in range(k) if x not in bad_set)
-            keep_y = right_set(y for y in range(n) if y not in t_set)
+            keep_x = left_set(np.flatnonzero(~bad).tolist())
+            keep_y = right_set(np.flatnonzero(~in_t).tolist())
             sub, _, _ = induced_subgraph(g, keep_x, keep_y)
             if sub is None:
                 raise ValueError("deletion emptied a side; graph too small for this D")

@@ -242,6 +242,25 @@ def test_sweep_requires_one_grid(capsys):
     assert main(["sweep", "--k", "4", "--n", "4", "--trials", "2", "--seed", "1"]) == 2
 
 
+def test_sweep_rejects_grids_it_cannot_convert(capsys):
+    for args in (["--k", "3", "--n", "1", "--p-list", "0.5"],
+                 ["--k", "0", "--n", "5", "--c-list", "1"],
+                 ["--k", "3", "--n", "5", "--c-list", "nan"],
+                 ["--k", "3", "--n", "5", "--c-list", "-1"]):
+        assert main(["sweep", *args, "--trials", "2", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "star"])
+def test_file_that_is_not_utf8_is_a_format_error(command, tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"p bipartite 1 1\ne 0 0\n# \xff\n" if command == "check" else b"*\xff\n")
+    assert main([command, str(f)]) == 2
+    assert capsys.readouterr().err.startswith("format error: not valid UTF-8")
+
+
 def test_star_cli(tmp_path, capsys):
     f = tmp_path / "a.star"
     f.write_text("***\n***\n")

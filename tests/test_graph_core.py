@@ -60,6 +60,7 @@ def test_parse_comments_and_blank_lines():
         ("p bipartite 2 3\ne 0 5\nbogus", "line 2: right index 5"),
         ("p bipartite 2 3\ne 0 0\ne 0 x\ne 0 0", "line 3: non-integer"),
         ("p bipartite 2 3\ne 99999999999999999999 0", "line 2: left index 99999999999999999999"),
+        (b"p bipartite 2 3\ne 0 \xff", "not valid UTF-8"),
     ],
 )
 def test_parse_errors(text, fragment):

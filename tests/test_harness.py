@@ -71,6 +71,17 @@ def test_sweep_config_validation():
         SweepConfig(k=2, n=2, trials=0, master_seed=0, p_grid=(0.5,))
     with pytest.raises(ValueError):
         SweepConfig(k=2, n=2, trials=1, master_seed=0, p_grid=(1.5,))
+    # ln(n)/k converts c and p: k = 0 or n = 1 would divide by zero.
+    for k, n in [(0, 5), (3, 1), (-1, 5), (3, 0)]:
+        for grid in ({"p_grid": (0.5,)}, {"c_grid": (1.0,)}):
+            with pytest.raises(ValueError, match="k >= 1 and n >= 2"):
+                SweepConfig(k=k, n=n, trials=1, master_seed=0, **grid)
+    for c in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            SweepConfig(k=2, n=2, trials=1, master_seed=0, c_grid=(1.0, c))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SweepConfig(k=2, n=2, trials=1, master_seed=0, p_grid=(float("nan"),))
+    SweepConfig(k=1, n=2, trials=1, master_seed=0, c_grid=(0.0,))
 
 
 # --------------------------------------------------------------- star arrays

@@ -329,10 +329,12 @@ def test_multiplicity_view_is_built_on_first_read():
     g = gen_gnp(30, 45, 0.5, 3)
     with mock.patch.object(type(g), "edges", autospec=True, side_effect=type(g).edges) as edges:
         cert = check_nmp(g)
-        assert cert.verdict is Verdict.HAS_NMP and len(cert.multiplicity) == g.edge_count
+        assert cert.verdict is Verdict.HAS_NMP
+        assert (cert.witness, cert.witness_neighborhood_size) == (None, None)
         assert edges.call_count == 0
         first = cert.multiplicity[(0, int(g.neighbors(0)[0]))]
         assert edges.call_count == 1
+        assert type(cert.multiplicity) is dict and len(cert.multiplicity) == g.edge_count
         assert dict(cert.multiplicity)[(0, int(g.neighbors(0)[0]))] == first
         assert edges.call_count == 1
 
@@ -441,16 +443,45 @@ def test_degree_settled_certificate_solves_the_flow_on_first_read():
 
 
 def test_degree_settled_certificate_is_a_plain_certificate():
-    g = BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0)])
-    plain = NMPCertificate(Verdict.VIOLATED, 3, 2, None, left_set([1]), 1)
+    # A degree-settled Violated certificate (witness pending) and a HasNMP one
+    # (multiplicity pending) against certificates built with every field.
+    k24 = complete_graph(2, 4)
+    cases = [
+        (
+            BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0)]),
+            NMPCertificate(Verdict.VIOLATED, 3, 2, None, left_set([1]), 1),
+            {"witness_neighborhood_size": 2},
+            "neighborhood size",
+        ),
+        (
+            k24,
+            NMPCertificate(Verdict.HAS_NMP, 2, 1, reference_multiplicity(k24)),
+            {"multiplicity": {}},
+            "row sums",
+        ),
+    ]
+    for g, plain, changes, error in cases:
+        check_pending_certificate_is_plain(g, plain, changes, error)
+
+
+def check_pending_certificate_is_plain(g, plain, changes, error):
     assert check_nmp(g) == plain and plain == check_nmp(g)
-    assert hash(check_nmp(g)) == hash(plain)
+    if plain.verdict is Verdict.VIOLATED:
+        assert hash(check_nmp(g)) == hash(plain)
+    else:
+        for cert in (check_nmp(g), plain):
+            with pytest.raises(TypeError):
+                hash(cert)
     assert repr(check_nmp(g)) == repr(plain)
     assert pickle.loads(pickle.dumps(check_nmp(g))) == plain
+    assert pickle.loads(pickle.dumps(plain)) == check_nmp(g)
     assert copy.deepcopy(check_nmp(g)) == plain
+    assert copy.deepcopy(plain) == check_nmp(g)
     assert dataclasses.asdict(check_nmp(g)) == dataclasses.asdict(plain)
-    moved = dataclasses.replace(check_nmp(g), witness_neighborhood_size=2)
-    with pytest.raises(ValueError, match="neighborhood size"):
+    assert dataclasses.replace(check_nmp(g)) == plain == dataclasses.replace(plain)
+    validate_certificate(g, dataclasses.replace(check_nmp(g)))
+    moved = dataclasses.replace(check_nmp(g), **changes)
+    with pytest.raises(ValueError, match=error):
         validate_certificate(g, moved)
     with pytest.raises(AttributeError, match="no attribute 'witness_size'"):
         check_nmp(g).witness_size
