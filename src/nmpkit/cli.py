@@ -17,6 +17,7 @@ from .decompose import approx_nmp
 from .euclid import build_euclidean_tree, euclid_schedule
 from .graph import (
     FormatError,
+    _is_int,
     _read_text,
     is_connected,
     load_graph,
@@ -134,8 +135,14 @@ def _cmd_gen(args) -> int:
 
 
 def _read_int_list(path: str) -> list[int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [int(tok) for tok in fh.read().replace(",", " ").split()]
+    """The integers of a --x-list/--y-list file, split by commas or whitespace."""
+    values: list[int] = []
+    for lineno, line in enumerate(_read_text(path).replace(",", " ").splitlines(), start=1):
+        for tok in line.split():
+            if not _is_int(tok):
+                raise FormatError(f"line {lineno}: not an integer: {tok!r}")
+            values.append(int(tok))
+    return values
 
 
 def _cmd_verify_pseudo(args) -> int:

@@ -72,43 +72,40 @@ def extract_thrill(
     """Maximal q-thrill by greedy: anchors in ascending index order, each
     claiming its q lowest-index unused neighbors; anchors that cannot are
     skipped for good (availability only shrinks, so one pass is maximal).
+
+    The Y side is the X side of g.swap_sides(), with anchors v and leaf pool
+    u; its two leftovers are then exchanged, so A stays the left one.
     """
     if u.side is not Side.LEFT or v.side is not Side.RIGHT:
         raise ValueError("extract_thrill expects (left set, right set)")
     if q < 1:
         raise ValueError("fan width q must be positive")
     if side is Side.LEFT:
-        if len(v) != q * len(u):
-            raise ValueError(f"X-side thrill needs |V| = q*|U|; got {len(v)} != {q}*{len(u)}")
-        anchors, leaves_pool, row = u.members, v.members, g.neighbors
-        free_bound = g.n
+        anchors, leaves, need = u, v, "X-side thrill needs |V| = q*|U|"
     else:
-        if len(u) != q * len(v):
-            raise ValueError(f"Y-side thrill needs |U| = q*|V|; got {len(u)} != {q}*{len(v)}")
-        anchors, leaves_pool, row = v.members, u.members, g.rneighbors
-        free_bound = g.k
+        g, anchors, leaves, need = g.swap_sides(), v, u, "Y-side thrill needs |U| = q*|V|"
+    if len(leaves) != q * len(anchors):
+        raise ValueError(f"{need}; got {len(leaves)} != {q}*{len(anchors)}")
 
-    pool = np.array(leaves_pool, dtype=np.int64)
-    free = np.zeros(free_bound, dtype=bool)
+    pool = np.array(leaves.members, dtype=np.int64)
+    free = np.zeros(g.n, dtype=bool)
     free[pool] = True
     fans: list[Fan] = []
     failed: list[int] = []
     for a in anchors:
-        cand = row(a)
+        cand = g.neighbors(a)
         picked = cand[free[cand]][:q]  # rows are sorted: the q lowest free
         if len(picked) == q:
             free[picked] = False
             fans.append(Fan(anchor_side=side, anchor=a, leaves=tuple(picked.tolist())))
         else:
             failed.append(a)
-    leftover_leaves = pool[free[pool]].tolist()
+    leftover = pool[free[pool]].tolist()
     thrill = Thrill(side=side, q=q, fans=tuple(fans))
     thrill.validate()
-    if side is Side.LEFT:
-        a_set, b_set = left_set(failed), right_set(leftover_leaves)
-    else:
-        a_set, b_set = left_set(leftover_leaves), right_set(failed)
-    return ThrillExtraction(side=side, q=q, thrill=thrill, A=a_set, B=b_set)
+    if side is Side.RIGHT:
+        failed, leftover = leftover, failed
+    return ThrillExtraction(side=side, q=q, thrill=thrill, A=left_set(failed), B=right_set(leftover))
 
 
 class DecompositionInvariantError(ValueError):

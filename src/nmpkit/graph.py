@@ -454,16 +454,14 @@ def _check_side(g: BipartiteGraph, s: VertexSet, side: Side) -> None:
 
 
 def neighborhood(g: BipartiteGraph, s: VertexSet) -> VertexSet:
-    """N(S): union of neighbor sets, on the opposite side."""
+    """N(S): union of neighbor sets, on the opposite side. A right set's
+    neighborhood is the left-set one in g.swap_sides()."""
     _check_side(g, s, s.side)
-    if s.side is Side.LEFT:
-        indptr, indices, other = g.indptr, g.indices, g.n
-    else:
-        indptr, indices, other = g.rindptr, g.rindices, g.k
+    h = g if s.side is Side.LEFT else g.swap_sides()
     ids = _ids(s)
-    starts = indptr[ids]
-    mark = np.zeros(other, dtype=bool)
-    mark[indices[_ranges(starts, indptr[ids + 1] - starts)]] = True
+    starts = h.indptr[ids]
+    mark = np.zeros(h.n, dtype=bool)
+    mark[h.indices[_ranges(starts, h.indptr[ids + 1] - starts)]] = True
     return VertexSet(s.side.other(), tuple(np.flatnonzero(mark).tolist()))
 
 
@@ -508,28 +506,20 @@ def induced_subgraph(
 
 
 def is_connected(g: BipartiteGraph) -> bool:
-    """True if the graph is connected as an undirected graph on X u Y."""
-    total = g.k + g.n
-    seen_l = [False] * g.k
-    seen_r = [False] * g.n
-    stack = [(Side.LEFT, 0)]
-    seen_l[0] = True
-    count = 1
+    """True if the graph is connected as an undirected graph on X u Y: one
+    depth-first search over the ids 0..k+n-1, right vertex y being k + y."""
+    ptr = np.concatenate((g.indptr, g.edge_count + g.rindptr[1:])).tolist()
+    adj = np.concatenate((g.indices + g.k, g.rindices)).tolist()
+    seen = [False] * (g.k + g.n)
+    seen[0] = True
+    stack = [0]
     while stack:
-        side, v = stack.pop()
-        if side is Side.LEFT:
-            for y in g.neighbors(v).tolist():
-                if not seen_r[y]:
-                    seen_r[y] = True
-                    count += 1
-                    stack.append((Side.RIGHT, y))
-        else:
-            for x in g.rneighbors(v).tolist():
-                if not seen_l[x]:
-                    seen_l[x] = True
-                    count += 1
-                    stack.append((Side.LEFT, x))
-    return count == total
+        v = stack.pop()
+        for w in adj[ptr[v]:ptr[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return all(seen)
 
 
 def disjoint_copies(g: BipartiteGraph, copies: int) -> BipartiteGraph:

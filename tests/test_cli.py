@@ -52,6 +52,13 @@ def test_check_emit_multiplicity(k23_file, tmp_path, capsys):
     assert total == 2 * 3  # row sums 3 over 2 rows
 
 
+def test_check_emit_multiplicity_of_a_violated_graph_exits_1(empty22_file, tmp_path, capsys):
+    out = tmp_path / "mult.txt"
+    assert main(["check", empty22_file, "--emit-multiplicity", str(out)]) == 1
+    assert capsys.readouterr().err == "no multiplicity function: graph is violated\n"
+    assert not out.exists()
+
+
 def test_check_emit_multiplicity_bytes_are_pinned(tmp_path, capsys):
     gfile = tmp_path / "g.graph"
     out = tmp_path / "mult.txt"
@@ -121,6 +128,18 @@ def test_gen_sumcayley_with_list(tmp_path, capsys):
     assert (g.k, g.n) == (3, 13)
 
 
+@pytest.mark.parametrize("content, error", [
+    (b"0 1\n2 \xff\n", "format error: not valid UTF-8"),
+    (b"0, 1\n2 x 3\n", "format error: line 2: not an integer: 'x'"),
+])
+def test_gen_sumcayley_list_file_errors_are_format_errors(content, error, tmp_path, capsys):
+    xlist = tmp_path / "x.txt"
+    xlist.write_bytes(content)
+    assert main(["gen", "sumcayley", "--q", "5", "--d", "2", "--x-list", str(xlist)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(error) and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--x-all", "--y-all"])
 def test_gen_sumcayley_has_no_all_flags(flag):
     # X and Y default to all of F_q; there is no flag for the default.
@@ -154,6 +173,28 @@ def test_audit_cli(tmp_path, capsys):
     assert main(["audit", str(out), "--p", "4/13", "--eps", "0",
                  "--samples", "50", "--seed", "3"]) == 0
     assert "violations=0" in capsys.readouterr().out
+
+
+def test_audit_cli_alon_bourgain(tmp_path, capsys):
+    out = tmp_path / "sc.graph"
+    main(["gen", "sumcayley", "--q", "101", "--d", "2", "--out", str(out)])
+    capsys.readouterr()
+    audit = ["audit", str(out), "--alon-bourgain", "--q", "101", "--samples", "50", "--seed", "3"]
+    assert main(audit + ["--h-size", "50"]) == 0
+    assert "form=alon_bourgain samples=50 violations=0" in capsys.readouterr().out
+    assert main(audit) == 2
+    assert capsys.readouterr().err == "--alon-bourgain needs --q and --h-size\n"
+
+
+def test_verify_pseudo_names_the_violation(tmp_path, capsys):
+    out = tmp_path / "pg.graph"
+    main(["gen", "pg2", "--q", "3", "--out", str(out)])
+    capsys.readouterr()
+    # PG(2, 3): every degree is 4 and every codegree 1.
+    assert main(["verify-pseudo", str(out), "--p", "5/13", "--eps", "0"]) == 0
+    assert capsys.readouterr().out == "fail min_left_degree=4 max_codegree=1 violating_vertex=0\n"
+    assert main(["verify-pseudo", str(out), "--p", "3/13", "--eps", "0"]) == 0
+    assert capsys.readouterr().out == "fail min_left_degree=4 max_codegree=1 violating_pair=0,1\n"
 
 
 def test_robust_delete_cli(tmp_path, capsys):

@@ -83,6 +83,32 @@ def test_extract_thrill_ratio_precondition():
     g = complete_graph(3, 6)
     with pytest.raises(ValueError, match=r"\|V\| = q\*\|U\|"):
         extract_thrill(g, left_set(range(3)), right_set(range(5)), 2, Side.LEFT)
+    with pytest.raises(ValueError, match=r"^Y-side thrill needs \|U\| = q\*\|V\|; got 5 != 2\*3$"):
+        extract_thrill(g.swap_sides(), left_set(range(5)), right_set(range(3)), 2, Side.RIGHT)
+
+
+def _with_fan(thrill, i, **changes):
+    fans = thrill.fans
+    return dataclasses.replace(
+        thrill, fans=fans[:i] + (dataclasses.replace(fans[i], **changes),) + fans[i + 1:]
+    )
+
+
+THRILL_TAMPERINGS = {
+    "fan anchored on the wrong side": lambda t: dataclasses.replace(t, side=Side.RIGHT),
+    "fan at 0 has 2 leaves, expected 3": lambda t: dataclasses.replace(t, q=3),
+    "anchor 0 reused": lambda t: _with_fan(t, 1, anchor=0),
+    "leaf 0 reused": lambda t: _with_fan(t, 2, leaves=(4, 0)),
+}
+
+
+@pytest.mark.parametrize("message", THRILL_TAMPERINGS)
+def test_thrill_validate_rejects_each_defect(message):
+    g = complete_graph(3, 6)
+    thrill = extract_thrill(g, left_set(range(3)), right_set(range(6)), 2, Side.LEFT).thrill
+    thrill.validate()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        THRILL_TAMPERINGS[message](thrill).validate()
 
 
 def test_extract_thrill_y_side():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -18,6 +19,8 @@ from nmpkit import (
     trees_isomorphic,
     verify_tree_factor,
 )
+
+from conftest import complete_graph
 
 
 def test_schedule_5_8():
@@ -231,6 +234,52 @@ def test_verify_tree_factor_flags_non_spanning():
     rep = verify_tree_factor(host, TreeFactor(2, 3, factor.copies[:1]), 2, 3, True)
     assert not rep.ok
     assert any("not spanning" in p for p in rep.problems)
+
+
+def _with_copy(factor, c, left, right, edges=None):
+    """factor with copy c recast on the given role maps; its edges are the
+    canonical tree's through them unless given."""
+    if edges is None:
+        canon = build_euclidean_tree(factor.ell, factor.L).graph.edges()
+        edges = tuple((left[x], right[y]) for x, y in canon)
+    copies = list(factor.copies)
+    copies[c] = dataclasses.replace(copies[c], left_by_role=left, right_by_role=right, edges=edges)
+    return dataclasses.replace(factor, copies=tuple(copies))
+
+
+COMPLETE_4_6 = complete_graph(4, 6)
+COPY_0_EDGES = ((0, 0), (0, 1), (1, 0), (1, 2))  # T_{2,3} on x0 x1, y0 y1 y2
+
+
+@pytest.mark.parametrize("tamper, problem", [
+    (lambda h, f: (h, dataclasses.replace(f, L=5)),
+     "factor declares (2, 5), expected (2, 3)"),
+    (lambda h, f: (h, _with_copy(f, 0, (0, 0), (0, 1, 2))),
+     "copy 0: left side is not 2 distinct vertices"),
+    (lambda h, f: (h, _with_copy(f, 0, (0, 1), (0, 0, 1))),
+     "copy 0: right side is not 3 distinct vertices"),
+    (lambda h, f: (h, _with_copy(f, 1, (2, 4), (3, 4, 5))),
+     "copy 1: vertex out of host range"),
+    (lambda h, f: (h, _with_copy(f, 1, (2, 0), (3, 4, 5))),
+     "copies 0 and 1 share left vertex 0"),
+    (lambda h, f: (h, _with_copy(f, 1, (2, 3), (3, 4, 0))),
+     "copies 0 and 1 share right vertex 0"),
+    (lambda h, f: (h, _with_copy(f, 0, (0, 1), (0, 1, 2), COPY_0_EDGES + ((0, 0),))),
+     "copy 0: 5 edges, expected 4"),
+    (lambda h, f: (h, _with_copy(f, 0, (0, 1), (0, 1, 2), COPY_0_EDGES[:3] + ((0, 2),))),
+     "copy 0: edge set does not match the canonical tree via its role map"),
+    (lambda h, f: (BipartiteGraph.from_edges(4, 6, list(h.edges())[1:]), f),
+     "copy 0: edge (0, 0) not present in the host graph"),
+    (lambda h, f: (h, dataclasses.replace(f, copies=f.copies[:1])),
+     "copies cover 2/4 left and 3/6 right vertices; not spanning"),
+])
+def test_verify_tree_factor_reports_each_defect(tamper, problem):
+    _, factor = _factor_of_disjoint_copies(2, 3, 2)
+    assert set(factor.copies[0].edges) == set(COPY_0_EDGES)
+    assert verify_tree_factor(COMPLETE_4_6, factor, 2, 3, require_spanning=True).ok
+    host, bad = tamper(COMPLETE_4_6, factor)
+    rep = verify_tree_factor(host, bad, 2, 3, require_spanning=True)
+    assert (rep.ok, rep.problems) == (False, (problem,))
 
 
 def test_fact_bound_at_5_8():

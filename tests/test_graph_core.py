@@ -8,7 +8,7 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from nmpkit import (
     BipartiteGraph,
@@ -20,6 +20,7 @@ from nmpkit import (
     gen_gnp,
     graph,
     induced_subgraph,
+    is_connected,
     left_set,
     neighborhood,
     parse_graph,
@@ -61,6 +62,12 @@ def test_parse_comments_and_blank_lines():
         ("p bipartite 2 3\ne 0 0\ne 0 x\ne 0 0", "line 3: non-integer"),
         ("p bipartite 2 3\ne 99999999999999999999 0", "line 2: left index 99999999999999999999"),
         (b"p bipartite 2 3\ne 0 \xff", "not valid UTF-8"),
+        ("p bipartite 2 3\np bipartite 2 3", "line 2: repeated header"),
+        ("p bipartite 2 three", "line 1: non-integer sizes"),
+        ("p bipartite 2 3\ne 1 2 3", "line 2: malformed edge line"),
+        # \x85 breaks the comment in two lines, so only the line loop numbers
+        # the bad edge right.
+        ("# a\x85# b\np bipartite 2 3\ne 0 5\n", "^line 4: right index 5"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -234,6 +241,14 @@ def test_neighborhood_euclidean_tree():
     assert neighborhood(g, left_set([0])).members == (0, 1)
 
 
+@given(bipartite_graphs(), st.data())
+def test_neighborhood_of_a_right_set(g, data):
+    ys = data.draw(st.sets(st.integers(0, g.n - 1)))
+    nbhd = neighborhood(g, right_set(ys))
+    assert nbhd.side is Side.LEFT
+    assert set(nbhd.members) == set().union(*(g.rneighbors(y).tolist() for y in ys))
+
+
 @given(bipartite_graphs())
 def test_double_neighborhood_contains_non_isolated(g):
     s = left_set(range(g.k))
@@ -299,6 +314,38 @@ def test_duplicate_edges_rejected():
 def test_sides_too_large_for_int64_edge_keys_rejected():
     with pytest.raises(ValueError, match="int64"):
         BipartiteGraph.from_edges(2**32, 2**32, [])
+
+
+def connected_by_union_find(g):
+    """Connectivity oracle: union-find over g.edges(), right vertex y as k + y."""
+    parent = list(range(g.k + g.n))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for x, y in g.edges():
+        parent[root(x)] = root(g.k + y)
+    return len({root(v) for v in range(g.k + g.n)}) == 1
+
+
+def zigzag_path(k):
+    """The path x0 y0 x1 y1 ... x_{k-1} y_{k-1}."""
+    edges = [(i, i) for i in range(k)] + [(i + 1, i) for i in range(k - 1)]
+    return BipartiteGraph.from_edges(k, k, edges)
+
+
+@given(bipartite_graphs())
+@example(zigzag_path(5000))
+@example(BipartiteGraph.from_edges(1, 1, []))
+@example(BipartiteGraph.from_edges(1, 3, [(0, 0), (0, 1), (0, 2)]))
+@example(BipartiteGraph.from_edges(3, 1, [(0, 0), (1, 0)]))  # x2 isolated
+@example(BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0)]))  # y1 isolated
+@example(BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 1)]))  # two components
+def test_is_connected_matches_union_find(g):
+    assert is_connected(g) is connected_by_union_find(g)
+    assert is_connected(g.swap_sides()) is is_connected(g)
 
 
 def test_vertex_set_side_checks():

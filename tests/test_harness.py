@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,32 @@ def test_star_two_disjoint_tree_patterns():
     assert sol.feasible
     assert (sol.row_sum, sol.col_sum) == (3, 2)
     validate_star_fill(arr, sol)
+
+
+def _with_cells(sol, cells):
+    """sol with the grid cells {(i, j): value} replaced."""
+    grid = [list(row) for row in sol.grid]
+    for (i, j), value in cells.items():
+        grid[i][j] = value
+    return dataclasses.replace(sol, grid=tuple(map(tuple, grid)))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda s: dataclasses.replace(s, feasible=False), "solution is not feasible"),
+    (lambda s: _with_cells(s, {(0, 0): -1}), r"negative entry at \(0, 0\)"),
+    (lambda s: _with_cells(s, {(0, 2): 1}), r"zero cell \(0, 2\) was filled"),
+    (lambda s: dataclasses.replace(s, row_sum=None), "row/column sums must be positive"),
+    (lambda s: dataclasses.replace(s, col_sum=0), "row/column sums must be positive"),
+    (lambda s: _with_cells(s, {(0, 0): 2}), "row 0 sums to 4, expected 3"),
+    (lambda s: _with_cells(s, {(0, 0): 0, (0, 1): 3}), "column 0 sums to 1, expected 2"),
+])
+def test_validate_star_fill_rejects_each_defect(tamper, message):
+    arr = parse_star_array("**0\n*0*\n")  # the pattern of T_{2,3}
+    sol = solve_star_array(arr)
+    assert sol.grid == ((1, 2, 0), (1, 0, 2))
+    validate_star_fill(arr, sol)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        validate_star_fill(arr, tamper(sol))
 
 
 def test_star_format_round_trip_grid():

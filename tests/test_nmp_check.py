@@ -354,6 +354,46 @@ def test_plain_dict_certificate_validates_or_is_rejected():
         validate_certificate(g, dataclasses.replace(cert, multiplicity=off_edge))
 
 
+# T_{2,3} (x0: y0 y1, x1: y0 y2) has NMP; with right vertex 1 isolated, the
+# 2 x 2 graph is Violated.
+HAS, VIOL = Verdict.HAS_NMP, Verdict.VIOLATED
+TAMPER_HOSTS = {
+    HAS: build_euclidean_tree(2, 3).graph,
+    VIOL: BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0)]),
+}
+
+
+@pytest.mark.parametrize("verdict, tamper, message", [
+    pytest.param(HAS, lambda c: {"col_sum": c.col_sum + 1},
+                 "certificate sums do not match", id="sums"),
+    pytest.param(HAS, lambda c: {"multiplicity": None},
+                 "HasNMP certificate missing multiplicity function", id="no-multiplicity"),
+    pytest.param(HAS, lambda c: {"multiplicity": {**c.multiplicity, (0, 2): 0}},
+                 r"multiplicity on non-edge \(0, 2\)", id="non-edge"),
+    pytest.param(HAS, lambda c: {"multiplicity": {**c.multiplicity, (0, 0): -1}},
+                 "negative multiplicity", id="negative"),
+    pytest.param(HAS, lambda c: {"multiplicity": {**c.multiplicity, (0, 0): 2}},
+                 "row sums not constant", id="row-sum"),
+    pytest.param(HAS, lambda c: {"multiplicity": {**c.multiplicity, (0, 0): 0, (0, 1): 3}},
+                 "column sums not constant", id="column-sum"),
+    pytest.param(VIOL, lambda c: {"witness": None},
+                 "Violated certificate missing witness", id="no-witness"),
+    pytest.param(VIOL, lambda c: {"witness": left_set([])},
+                 "Violated certificate missing witness", id="empty-witness"),
+    pytest.param(VIOL, lambda c: {"witness_neighborhood_size": c.witness_neighborhood_size + 1},
+                 "stated witness neighborhood size is wrong", id="neighborhood-size"),
+    pytest.param(VIOL, lambda c: {"witness": left_set([0]), "witness_neighborhood_size": 1},
+                 "witness does not violate", id="not-violating"),
+])
+def test_validate_certificate_rejects_each_defect(verdict, tamper, message):
+    g = TAMPER_HOSTS[verdict]
+    cert = check_nmp(g)
+    assert cert.verdict is verdict
+    validate_certificate(g, cert)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        validate_certificate(g, dataclasses.replace(cert, **tamper(cert)))
+
+
 # ------------------------------------------------- the degree test, deferred
 
 
