@@ -185,6 +185,9 @@ def _cmd_audit(args) -> int:
             g, None, args.samples, args.seed, form="alon_bourgain",
             h_size=args.h_size, q=args.q,
         )
+    elif args.p is None:
+        print("--p is required unless --alon-bourgain is given", file=sys.stderr)
+        return 2
     else:
         params = PseudoParams(args.p, args.eps)
         rep = mixing_audit(g, params, args.samples, args.seed, form="thomason")

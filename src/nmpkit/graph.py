@@ -1,15 +1,17 @@
 """Bipartite graph core: construction, vertex sets, induced subgraphs, file I/O.
 
 Vertices are 0-based on both sides. The left side X has k vertices, the
-right side Y has n vertices. Adjacency is stored in both directions as
+right side Y has n vertices. Adjacency is stored once, left to right, as
 compressed sparse rows of int64 numpy arrays: the right neighbors of x are
-indices[indptr[x]:indptr[x+1]], sorted, and rindptr/rindices hold the
-transpose. Every graph ends in one private constructor, _from_keys, which
-takes the edge keys x*n + y strictly increasing. _build range-checks edges
-given in any order, rejects repeats and sorts them into keys; callers whose
-keys are sorted and unique by construction (induced subgraphs, G(k, n, p))
-skip that sort. The arrays are read-only, so graphs are immutable after
-construction.
+indices[indptr[x]:indptr[x+1]], sorted. The right side's rows are the rows
+of g.swap_sides(), which builds the transpose, so call it once per graph,
+not once per vertex; the right degrees are np.bincount(g.indices,
+minlength=g.n). Every graph ends in one private constructor, _from_keys,
+which takes the edge keys x*n + y strictly increasing. _build range-checks
+edges given in any order, rejects repeats and sorts them into keys; callers
+whose keys are sorted and unique by construction (induced subgraphs,
+G(k, n, p)) skip that sort. The arrays are read-only, so graphs are
+immutable after construction.
 
 File format (line-oriented UTF-8):
     # optional comment lines
@@ -124,13 +126,6 @@ def _check_sizes(k: int, n: int) -> None:
         raise ValueError(f"k*n = {k * n} exceeds the int64 edge keys")
 
 
-def _row_starts(rows: np.ndarray, count: int) -> np.ndarray:
-    """CSR row pointer of `count` rows from the row index of every entry."""
-    ptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=count), out=ptr[1:])
-    return ptr
-
-
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The integer ranges [starts[i], starts[i] + lens[i]) laid end to end.
 
@@ -144,17 +139,15 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteGraph:
-    """Immutable bipartite graph with CSR adjacency in both directions."""
+    """Immutable bipartite graph with left-to-right CSR adjacency."""
 
     k: int
     n: int
     indptr: np.ndarray    # left x -> its right neighbors indices[indptr[x]:indptr[x+1]]
     indices: np.ndarray   # sorted within each row
-    rindptr: np.ndarray   # right y -> its left neighbors rindices[rindptr[y]:rindptr[y+1]]
-    rindices: np.ndarray
 
     def __post_init__(self):
-        for a in (self.indptr, self.indices, self.rindptr, self.rindices):
+        for a in (self.indptr, self.indices):
             a.flags.writeable = False
 
     @classmethod
@@ -194,14 +187,7 @@ class BipartiteGraph:
             raise ValueError("edge keys are not strictly increasing")
         if len(keys) and not (0 <= keys[0] and keys[-1] < k * n):
             raise ValueError(f"edge keys out of range [0, k*n) for k={k}, n={n}")
-        indptr = np.searchsorted(keys, n * np.arange(k + 1))
-        ys = keys % n
-        # The keys y*k + x, sorted, give the transpose.
-        rev = ys * k
-        rev += keys // n
-        rev.sort()
-        rev %= k
-        return cls(k, n, indptr, ys, _row_starts(ys, n), rev)
+        return cls(k, n, np.searchsorted(keys, n * np.arange(k + 1)), keys % n)
 
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
@@ -239,15 +225,8 @@ class BipartiteGraph:
         """Sorted right neighbors of left vertex x, as a read-only view."""
         return self.indices[self.indptr[x]:self.indptr[x + 1]]
 
-    def rneighbors(self, y: int) -> np.ndarray:
-        """Sorted left neighbors of right vertex y, as a read-only view."""
-        return self.rindices[self.rindptr[y]:self.rindptr[y + 1]]
-
     def degree(self, x: int) -> int:
         return int(self.indptr[x + 1] - self.indptr[x])
-
-    def rdegree(self, y: int) -> int:
-        return int(self.rindptr[y + 1] - self.rindptr[y])
 
     def has_edge(self, x: int, y: int) -> bool:
         row = self.neighbors(x)
@@ -264,7 +243,11 @@ class BipartiteGraph:
         return zip(xs.tolist(), ys.tolist())
 
     def swap_sides(self) -> "BipartiteGraph":
-        return BipartiteGraph(self.n, self.k, self.rindptr, self.rindices, self.indptr, self.indices)
+        """The graph with X and Y exchanged, from the keys y*k + x, sorted."""
+        xs, ys = self.edge_arrays()
+        keys = ys * self.k + xs
+        keys.sort()
+        return BipartiteGraph._from_keys(self.n, self.k, keys)
 
     def with_edge(self, x: int, y: int) -> "BipartiteGraph":
         """New graph with one extra edge (error if it already exists)."""
@@ -508,8 +491,9 @@ def induced_subgraph(
 def is_connected(g: BipartiteGraph) -> bool:
     """True if the graph is connected as an undirected graph on X u Y: one
     depth-first search over the ids 0..k+n-1, right vertex y being k + y."""
-    ptr = np.concatenate((g.indptr, g.edge_count + g.rindptr[1:])).tolist()
-    adj = np.concatenate((g.indices + g.k, g.rindices)).tolist()
+    h = g.swap_sides()
+    ptr = np.concatenate((g.indptr, g.edge_count + h.indptr[1:])).tolist()
+    adj = np.concatenate((g.indices + g.k, h.indices)).tolist()
     seen = [False] * (g.k + g.n)
     seen[0] = True
     stack = [0]

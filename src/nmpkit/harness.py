@@ -200,6 +200,8 @@ def validate_star_fill(arr: StarArray, sol: StarSolution) -> None:
     if not sol.feasible:
         raise ValueError("solution is not feasible; nothing to validate")
     grid = sol.grid
+    if grid is None or len(grid) != arr.k or any(len(row) != arr.n for row in grid):
+        raise ValueError(f"grid is not {arr.k} rows of {arr.n} entries")
     for i in range(arr.k):
         for j in range(arr.n):
             if grid[i][j] < 0:

@@ -111,7 +111,7 @@ def _fails_degree_test(g: BipartiteGraph, row_sum: int, col_sum: int) -> bool:
     """
     return (
         int(np.diff(g.indptr).min()) * col_sum < row_sum
-        or int(np.diff(g.rindptr).min()) * row_sum < col_sum
+        or int(np.bincount(g.indices, minlength=g.n).min()) * row_sum < col_sum
     )
 
 
@@ -158,8 +158,10 @@ def validate_certificate(g: BipartiteGraph, cert: NMPCertificate) -> None:
         rows = [0] * g.k
         cols = [0] * g.n
         for (x, y), m in mult.items():
-            if y not in nbrs[x]:
+            if not (0 <= x < g.k and y in nbrs[x]):
                 raise ValueError(f"multiplicity on non-edge ({x}, {y})")
+            if type(m) is not int and not isinstance(m, np.integer):
+                raise ValueError(f"non-integer multiplicity {m!r} on ({x}, {y})")
             if m < 0:
                 raise ValueError("negative multiplicity")
             rows[x] += m
@@ -171,6 +173,8 @@ def validate_certificate(g: BipartiteGraph, cert: NMPCertificate) -> None:
     else:
         if cert.witness is None or len(cert.witness) == 0:
             raise ValueError("Violated certificate missing witness")
+        if cert.witness.side is not Side.LEFT:
+            raise ValueError("Violated certificate witness is not a left-side set")
         nbhd = neighborhood(g, cert.witness)
         if cert.witness_neighborhood_size != len(nbhd):
             raise ValueError("stated witness neighborhood size is wrong")

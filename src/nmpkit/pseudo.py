@@ -119,23 +119,24 @@ def _codegree_scan(a: np.ndarray) -> tuple[int, np.ndarray]:
 def _pair_scan(g: BipartiteGraph) -> tuple[int, np.ndarray]:
     """_codegree_scan's result, from the pairs u < v of every N(y).
 
-    rindices lists each N(y) in increasing order, so the partners v > u of
-    the entry u at position i are the rest of its list. A block of left rows
-    u at a time, every (u, v) pair is one key and np.bincount counts them.
+    g.swap_sides() lists each N(y) in increasing order, so the partners
+    v > u of the entry u at position i are the rest of its list. A block of
+    left rows u at a time, every (u, v) pair is one key and np.bincount
+    counts them.
     The work is integer, in one thread, and grows with the number of pairs,
     sum over y of C(deg y, 2), not with k*k*n.
     """
     k = g.k
-    rindptr, rindices = g.rindptr, g.rindices
-    rest = np.repeat(rindptr[1:], np.diff(rindptr)) - np.arange(len(rindices)) - 1
+    h = g.swap_sides()
+    rest = np.repeat(h.indptr[1:], np.diff(h.indptr)) - np.arange(g.edge_count) - 1
     rows = max(1, _PAIR_BINS // k)
     row_max = np.zeros(k, dtype=np.int64)
     for s in range(0, k - 1, rows):
         e = min(s + rows, k - 1)
-        i = np.flatnonzero((rindices >= s) & (rindices < e))
+        i = np.flatnonzero((h.indices >= s) & (h.indices < e))
         lens = rest[i]
-        keys = rindices[_ranges(i + 1, lens)]
-        keys += np.repeat((rindices[i] - s) * k, lens)
+        keys = h.indices[_ranges(i + 1, lens)]
+        keys += np.repeat((h.indices[i] - s) * k, lens)
         counts = np.bincount(keys, minlength=(e - s) * k)
         row_max[s:e] = counts.reshape(e - s, k).max(axis=1)
     return int(row_max.max()) if k >= 2 else 0, row_max
@@ -154,7 +155,7 @@ def _codegrees(g: BipartiteGraph) -> tuple[int, np.ndarray]:
     k*k*n / _PAIR_RATIO pairs: for G(k, n, p) up to about p = 1/32, for
     PG(2, q) from about q = 32 on.
     """
-    d = np.diff(g.rindptr)
+    d = np.bincount(g.indices, minlength=g.n)
     if int((d * (d - 1) // 2).sum()) * _PAIR_RATIO <= g.k * g.k * g.n:
         return _pair_scan(g)
     return _codegree_scan(_incidence(g))
@@ -180,8 +181,9 @@ def verify_thomason(g: BipartiteGraph, params: PseudoParams) -> PseudoReport:
         limit = math.floor(cod_bound)
         u = int(np.argmax(row_max > limit))
         ys = g.neighbors(u)
-        starts = g.rindptr[ys]
-        cod_u = np.bincount(g.rindices[_ranges(starts, g.rindptr[ys + 1] - starts)], minlength=g.k)
+        h = g.swap_sides()
+        starts = h.indptr[ys]
+        cod_u = np.bincount(h.indices[_ranges(starts, h.indptr[ys + 1] - starts)], minlength=g.k)
         v = u + 1 + int(np.argmax(cod_u[u + 1:] > limit))
         violating_pair = (u, v)
     passed = violating_vertex is None and violating_pair is None

@@ -186,6 +186,15 @@ def test_audit_cli_alon_bourgain(tmp_path, capsys):
     assert capsys.readouterr().err == "--alon-bourgain needs --q and --h-size\n"
 
 
+def test_audit_cli_without_p_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "pg.graph"
+    main(["gen", "pg2", "--q", "3", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["audit", str(out), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "--p is required unless --alon-bourgain is given\n" and "Traceback" not in err
+
+
 def test_verify_pseudo_names_the_violation(tmp_path, capsys):
     out = tmp_path / "pg.graph"
     main(["gen", "pg2", "--q", "3", "--out", str(out)])

@@ -41,7 +41,7 @@ def max_thrill_size_oracle(g, u, v, q, side):
     """Exhaustive maximum q-thrill size (number of fans), tiny inputs only."""
     anchors = u.members if side is Side.LEFT else v.members
     pool = set(v.members if side is Side.LEFT else u.members)
-    row = g.neighbors if side is Side.LEFT else g.rneighbors
+    row = g.neighbors if side is Side.LEFT else g.swap_sides().neighbors
 
     def best(i, free):
         if i == len(anchors):
@@ -140,7 +140,7 @@ def test_extract_thrill_invariants(g, q):
 
 def extract_thrill_reference(g, anchors, pool, q, side):
     """Anchor-by-anchor loop over each row: (fans, failed anchors, leftovers)."""
-    row = g.neighbors if side is Side.LEFT else g.rneighbors
+    row = g.neighbors if side is Side.LEFT else g.swap_sides().neighbors
     free = set(pool)
     fans, failed = [], []
     for a in anchors:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -90,7 +91,8 @@ def test_every_construction_gives_the_same_graph(g, rnd):
     assert induced_subgraph(g, left_set(range(g.k)), right_set(range(g.n)))[0] == g
     rows = [g.neighbors(x).tolist() for x in range(g.k)]
     assert all(row == sorted(set(row)) for row in rows)
-    cols = [g.rneighbors(y).tolist() for y in range(g.n)]
+    gt = g.swap_sides()
+    cols = [gt.neighbors(y).tolist() for y in range(g.n)]
     assert cols == [[x for x in range(g.k) if y in rows[x]] for y in range(g.n)]
 
 
@@ -220,7 +222,8 @@ def test_bulk_parse_names_the_line_of_a_bad_edge():
 @given(bipartite_graphs())
 def test_degree_sums_match(g):
     total_l = sum(g.degree(x) for x in range(g.k))
-    total_r = sum(g.rdegree(y) for y in range(g.n))
+    gt = g.swap_sides()
+    total_r = sum(gt.degree(y) for y in range(g.n))
     assert total_l == total_r == g.edge_count
 
 
@@ -246,7 +249,8 @@ def test_neighborhood_of_a_right_set(g, data):
     ys = data.draw(st.sets(st.integers(0, g.n - 1)))
     nbhd = neighborhood(g, right_set(ys))
     assert nbhd.side is Side.LEFT
-    assert set(nbhd.members) == set().union(*(g.rneighbors(y).tolist() for y in ys))
+    gt = g.swap_sides()
+    assert set(nbhd.members) == set().union(*(gt.neighbors(y).tolist() for y in ys))
 
 
 @given(bipartite_graphs())
@@ -364,26 +368,41 @@ def test_swap_sides():
     assert s.swap_sides() == g
 
 
+@given(bipartite_graphs())
+@example(BipartiteGraph.from_edges(1, 1, []))
+@example(BipartiteGraph.from_edges(1, 1, [(0, 0)]))
+@example(BipartiteGraph.from_edges(1, 4, [(0, 1), (0, 3)]))
+@example(BipartiteGraph.from_edges(5, 1, [(0, 0), (4, 0)]))
+@example(BipartiteGraph.from_edges(3, 2, []))
+def test_swap_sides_transposes(g):
+    assert [f.name for f in dataclasses.fields(g)] == ["k", "n", "indptr", "indices"]
+    s = g.swap_sides()
+    assert (s.k, s.n) == (g.n, g.k)
+    assert list(s.edges()) == sorted((y, x) for x, y in g.edges())
+    assert s.swap_sides() == g
+    assert not s.indptr.flags.writeable and not s.indices.flags.writeable
+
+
 def test_side_other():
     assert Side.LEFT.other() is Side.RIGHT
     assert Side.RIGHT.other() is Side.LEFT
 
 
-def both_directions(g):
-    return [a.tolist() for a in (g.indptr, g.indices, g.rindptr, g.rindices)]
+def csr_arrays(g):
+    return [g.indptr.tolist(), g.indices.tolist()]
 
 
 @given(bipartite_graphs(), st.integers(1, 3))
 def test_sorted_key_constructions_match_build(g, copies):
     xs, ys = g.edge_arrays()
     from_keys = BipartiteGraph._from_keys(g.k, g.n, xs * g.n + ys)
-    assert both_directions(from_keys) == both_directions(g)
+    assert csr_arrays(from_keys) == csr_arrays(g)
     shift = np.repeat(np.arange(copies), g.edge_count)
     built = BipartiteGraph._build(
         g.k * copies, g.n * copies, np.tile(xs, copies) + shift * g.k,
         np.tile(ys, copies) + shift * g.n,
     )
-    assert both_directions(disjoint_copies(g, copies)) == both_directions(built)
+    assert csr_arrays(disjoint_copies(g, copies)) == csr_arrays(built)
 
 
 @pytest.mark.parametrize("keys, fragment", [

@@ -153,6 +153,10 @@ def _with_cells(sol, cells):
 
 @pytest.mark.parametrize("tamper, message", [
     (lambda s: dataclasses.replace(s, feasible=False), "solution is not feasible"),
+    (lambda s: dataclasses.replace(s, grid=None), "grid is not 2 rows of 3 entries"),
+    (lambda s: dataclasses.replace(s, grid=s.grid[:1]), "grid is not 2 rows of 3 entries"),
+    (lambda s: dataclasses.replace(s, grid=tuple(row + (0,) for row in s.grid)),
+     "grid is not 2 rows of 3 entries"),
     (lambda s: _with_cells(s, {(0, 0): -1}), r"negative entry at \(0, 0\)"),
     (lambda s: _with_cells(s, {(0, 2): 1}), r"zero cell \(0, 2\) was filled"),
     (lambda s: dataclasses.replace(s, row_sum=None), "row/column sums must be positive"),

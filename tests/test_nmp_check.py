@@ -5,6 +5,7 @@ import pickle
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
@@ -354,24 +355,39 @@ def test_plain_dict_certificate_validates_or_is_rejected():
         validate_certificate(g, dataclasses.replace(cert, multiplicity=off_edge))
 
 
-# T_{2,3} (x0: y0 y1, x1: y0 y2) has NMP; with right vertex 1 isolated, the
-# 2 x 2 graph is Violated.
-HAS, VIOL = Verdict.HAS_NMP, Verdict.VIOLATED
+# T_{2,3} (x0: y0 y1, x1: y0 y2), K_{2,2} and K_{1,3} have NMP; with right
+# vertex 1 isolated, the 2 x 2 graph VIOL is Violated. Each host maps to its
+# graph and its verdict.
+HAS, VIOL, K22, K13 = "T_{2,3}", "violated 2x2", "K_{2,2}", "K_{1,3}"
 TAMPER_HOSTS = {
-    HAS: build_euclidean_tree(2, 3).graph,
-    VIOL: BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0)]),
+    HAS: (build_euclidean_tree(2, 3).graph, Verdict.HAS_NMP),
+    VIOL: (BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0)]), Verdict.VIOLATED),
+    K22: (complete_graph(2, 2), Verdict.HAS_NMP),
+    K13: (complete_graph(1, 3), Verdict.HAS_NMP),
 }
 
 
-@pytest.mark.parametrize("verdict, tamper, message", [
+def _without(mult, key):
+    return {e: m for e, m in mult.items() if e != key}
+
+
+@pytest.mark.parametrize("host, tamper, message", [
     pytest.param(HAS, lambda c: {"col_sum": c.col_sum + 1},
                  "certificate sums do not match", id="sums"),
     pytest.param(HAS, lambda c: {"multiplicity": None},
                  "HasNMP certificate missing multiplicity function", id="no-multiplicity"),
     pytest.param(HAS, lambda c: {"multiplicity": {**c.multiplicity, (0, 2): 0}},
                  r"multiplicity on non-edge \(0, 2\)", id="non-edge"),
+    pytest.param(HAS, lambda c: {"multiplicity": {**_without(c.multiplicity, (1, 2)), (-1, 2): 2}},
+                 r"multiplicity on non-edge \(-1, 2\)", id="negative-left-index"),
+    pytest.param(HAS, lambda c: {"multiplicity": {**c.multiplicity, (5, 0): 0}},
+                 r"multiplicity on non-edge \(5, 0\)", id="left-index-past-k"),
     pytest.param(HAS, lambda c: {"multiplicity": {**c.multiplicity, (0, 0): -1}},
                  "negative multiplicity", id="negative"),
+    pytest.param(K22, lambda c: {"multiplicity": {e: 0.5 for e in c.multiplicity}},
+                 r"non-integer multiplicity 0\.5 on \(0, 0\)", id="fractional"),
+    pytest.param(K22, lambda c: {"multiplicity": {e: bool(m) for e, m in c.multiplicity.items()}},
+                 r"non-integer multiplicity (True|False) on \(0, 0\)", id="bool"),
     pytest.param(HAS, lambda c: {"multiplicity": {**c.multiplicity, (0, 0): 2}},
                  "row sums not constant", id="row-sum"),
     pytest.param(HAS, lambda c: {"multiplicity": {**c.multiplicity, (0, 0): 0, (0, 1): 3}},
@@ -384,14 +400,24 @@ TAMPER_HOSTS = {
                  "stated witness neighborhood size is wrong", id="neighborhood-size"),
     pytest.param(VIOL, lambda c: {"witness": left_set([0]), "witness_neighborhood_size": 1},
                  "witness does not violate", id="not-violating"),
+    pytest.param(K13, lambda c: {"verdict": Verdict.VIOLATED, "multiplicity": None,
+                                 "witness": right_set([0, 1, 2]), "witness_neighborhood_size": 1},
+                 "Violated certificate witness is not a left-side set", id="right-witness"),
 ])
-def test_validate_certificate_rejects_each_defect(verdict, tamper, message):
-    g = TAMPER_HOSTS[verdict]
+def test_validate_certificate_rejects_each_defect(host, tamper, message):
+    g, verdict = TAMPER_HOSTS[host]
     cert = check_nmp(g)
     assert cert.verdict is verdict
     validate_certificate(g, cert)
     with pytest.raises(ValueError, match=f"^{message}"):
         validate_certificate(g, dataclasses.replace(cert, **tamper(cert)))
+
+
+def test_validate_certificate_accepts_numpy_integer_multiplicities():
+    g, _ = TAMPER_HOSTS[HAS]
+    cert = check_nmp(g)
+    as_numpy = {e: np.int64(m) for e, m in cert.multiplicity.items()}
+    validate_certificate(g, dataclasses.replace(cert, multiplicity=as_numpy))
 
 
 # ------------------------------------------------- the degree test, deferred
@@ -460,8 +486,9 @@ def test_degree_settled_verdicts_match_the_flow(g):
     if verdict is Verdict.VIOLATED:
         assert (cert.witness.members, cert.witness_neighborhood_size) == (witness, nbhd)
         validate_certificate(g, cert)
+    gt = g.swap_sides()
     quota_missed = any(g.k * g.degree(x) < g.n for x in range(g.k)) or any(
-        g.n * g.rdegree(y) < g.k for y in range(g.n)
+        g.n * gt.degree(y) < g.k for y in range(g.n)
     )
     if quota_missed:
         assert verdict is Verdict.VIOLATED
