@@ -18,8 +18,9 @@ File format (line-oriented UTF-8):
     p bipartite <k> <n>
     e <x> <y>          (0 <= x < k, 0 <= y < n; duplicates are an error)
 The serializer emits the header and then edges sorted by (x, y). When the
-edge lines are exactly in that form, the parser reads them in bulk; any
-other valid text parses to the same graph line by line.
+edge lines are exactly in that form, the parser checks it on the bytes and
+reads them in bulk, and sorted edges skip _build's sort; any other valid
+text parses to the same graph line by line.
 """
 
 from __future__ import annotations
@@ -371,8 +372,6 @@ def _parse_lines(text: str) -> BipartiteGraph:
 
 # Line breaks of str.splitlines other than "\n".
 _OTHER_LINE_BREAKS = re.compile("[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-# The edge lines serialize_graph writes; 18 digits keep every value in int64.
-_CANONICAL_EDGES = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\n)*")
 
 
 def _header_end(text: str) -> int | None:
@@ -390,24 +389,60 @@ def _header_end(text: str) -> int | None:
     return None
 
 
+def _canonical_ends(body: str) -> np.ndarray | None:
+    """The endpoints x0, y0, x1, y1, ... of edge lines in exactly the form
+    serialize_graph writes, "e <x> <y>\n" with 1-18 ASCII digits per number
+    (so every value fits in int64); None for any other text.
+
+    The form is checked on the bytes: every line starts "e " and holds
+    exactly two spaces, both digit runs are 1-18 long, and the only bytes
+    that are not digits are the 4 per line that the form puts there.
+    """
+    if not body.isascii() or (body and body[-1] != "\n"):
+        return None
+    raw = body.encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    nl = np.flatnonzero(b == ord("\n"))
+    sp = np.flatnonzero(b == ord(" "))
+    if len(sp) != 2 * len(nl):
+        return None
+    starts = np.concatenate(([0], nl + 1))[:-1]
+    first, second = sp[0::2], sp[1::2]
+    if not ((b[starts] == ord("e")).all() and (first == starts + 1).all()):
+        return None
+    runs = np.concatenate((second - first, nl - second)) - 1
+    if not ((runs >= 1).all() and (runs <= 18).all()):
+        return None
+    if np.count_nonzero((b < ord("0")) | (b > ord("9"))) != 4 * len(nl):
+        return None
+    return np.fromstring(raw.replace(b"e", b" "), dtype=np.int64, sep=" ")
+
+
 def parse_graph(text: str | bytes) -> BipartiteGraph:
     """Parse the graph file format; errors carry the offending line number.
 
     When everything after the header line is in the form serialize_graph
     writes, the edges are read in bulk: the header part goes through the
-    line loop and the edge lines through one regex test and one
-    np.fromstring. Any other text takes the line loop throughout. Both
-    paths give the same graph, or the same error.
+    line loop, the edge lines through one structural check on their bytes
+    and one np.fromstring. Edges that are in range and in increasing key
+    order, as the serializer writes them, go straight to _from_keys; others
+    go through _build, which names the first bad edge in input order. Any
+    other text takes the line loop throughout. Both paths give the same
+    graph, or the same error.
     """
     if isinstance(text, bytes):
         with _utf8():
             text = text.decode("utf-8")
     end = _header_end(text)
-    if end is None or not _CANONICAL_EDGES.fullmatch(text, end):
+    ends = None if end is None else _canonical_ends(text[end:])
+    if ends is None:
         return _parse_lines(text)
     k, n, _, _, _ = _scan_lines(text[:end])
-    ends = np.fromstring(text[end:].replace("e", " "), dtype=np.int64, sep=" ")
     xs, ys = ends[0::2], ends[1::2]
+    if k * n <= _INT64_MAX and (xs < k).all() and (ys < n).all():
+        keys = xs * n + ys
+        if (keys[1:] > keys[:-1]).all():
+            return BipartiteGraph._from_keys(k, n, keys)
     first = text.count("\n", 0, end) + 1
     return _parsed_graph(k, n, xs, ys, xs, ys, range(first, first + len(xs)))
 

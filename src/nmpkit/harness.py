@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graph import BipartiteGraph, FormatError, VertexSet
 from .nmpcheck import NMPCertificate, Verdict, check_nmp
 from .pseudo import gen_gnp
@@ -204,9 +206,12 @@ def validate_star_fill(arr: StarArray, sol: StarSolution) -> None:
         raise ValueError(f"grid is not {arr.k} rows of {arr.n} entries")
     for i in range(arr.k):
         for j in range(arr.n):
-            if grid[i][j] < 0:
+            v = grid[i][j]
+            if type(v) is not int and not isinstance(v, np.integer):
+                raise ValueError(f"non-integer entry {v!r} at ({i}, {j})")
+            if v < 0:
                 raise ValueError(f"negative entry at ({i}, {j})")
-            if grid[i][j] and not arr.stars[i][j]:
+            if v and not arr.stars[i][j]:
                 raise ValueError(f"zero cell ({i}, {j}) was filled")
     if sol.row_sum is None or sol.row_sum <= 0 or sol.col_sum is None or sol.col_sum <= 0:
         raise ValueError("row/column sums must be positive")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from nmpkit import (
@@ -499,3 +499,91 @@ def test_approx_case_a_needs_wide_graph():
     g = complete_graph(6, 3)
     with pytest.raises(ValueError, match="n >= k"):
         approx_nmp(g, 0.5, mode="a")
+
+
+# ------------------------------------------------- the remainder's factor proof
+
+
+def _remainder_flow_verdict(g, res):
+    return check_nmp(approx_remainder(g, res)).verdict is Verdict.HAS_NMP
+
+
+@given(
+    st.integers(1, 24),
+    st.integers(1, 48),
+    st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+    st.sampled_from([0.05, 0.2, 0.5]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=80)
+def test_factor_proof_agrees_with_the_remainder_flow(k, n, p, eps, seed):
+    # The shapes reach case (a), case (b), and deletions that empty a side.
+    g = gen_gnp(k, n, p, seed)
+    try:
+        res = approx_nmp(g, eps)
+    except ValueError:
+        assume(False)  # no K x N prefix for these sizes and eps
+    if len(res.x_hat) == k or len(res.y_hat) == n:
+        assert not res.remainder_nmp_verified
+    else:
+        assert res.remainder_nmp_verified == _remainder_flow_verdict(g, res)
+        assert decompose._factor_proves_remainder(g, res)
+
+
+def _spy_on_check_nmp(monkeypatch):
+    """The graphs approx_nmp hands to check_nmp, in call order."""
+    calls = []
+
+    def spy(h):
+        calls.append(h)
+        return check_nmp(h)
+
+    monkeypatch.setattr(decompose, "check_nmp", spy)
+    return calls
+
+
+def test_an_untampered_factor_needs_no_flow_on_the_remainder(monkeypatch):
+    calls = _spy_on_check_nmp(monkeypatch)
+    res = approx_nmp(gen_gnp(200, 220, 0.5, 55), 0.01)
+    assert res.remainder_nmp_verified
+    assert calls == [build_euclidean_tree(res.factor.ell, res.factor.L).graph]
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["copy edge not in g", "uncovered kept vertex", "vertex in two copies", "short copy", "tree without NMP"],
+)
+def test_a_defective_factor_falls_back_to_the_flow(monkeypatch, defect):
+    g = gen_gnp(200, 220, 0.5, 55)
+    trace = approx_nmp(g, 0.01).trace
+    factor = trace.factor
+    c0, c1, *rest = factor.copies
+    if defect == "copy edge not in g":
+        # The factor is g's, but the graph loses every edge of one kept
+        # vertex: the flow then finds the remainder Violated.
+        x0 = c0.left_by_role[0]
+        g = BipartiteGraph.from_edges(g.k, g.n, [(x, y) for x, y in g.edges() if x != x0])
+    elif defect == "uncovered kept vertex":
+        factor = dataclasses.replace(factor, copies=(c0, c1, *rest[:-1]))
+    elif defect == "vertex in two copies":
+        c1 = dataclasses.replace(c1, left_by_role=c0.left_by_role[:1] + c1.left_by_role[1:])
+        factor = dataclasses.replace(factor, copies=(c0, c1, *rest))
+    elif defect == "short copy":
+        c0 = dataclasses.replace(c0, left_by_role=c0.left_by_role[:-1])
+        factor = dataclasses.replace(factor, copies=(c0, c1, *rest))
+    else:
+        # Less one edge, the tree falls into two parts whose side ratios
+        # are not ell:L, so one part violates NMP.
+        real = build_euclidean_tree(factor.ell, factor.L)
+        broken = BipartiteGraph.from_edges(factor.ell, factor.L, list(real.graph.edges())[1:])
+        monkeypatch.setattr(decompose, "build_euclidean_tree",
+                            lambda ell, L: dataclasses.replace(real, graph=broken))
+    tampered = dataclasses.replace(trace, factor=factor)
+    monkeypatch.setattr(decompose, "euclid_factor_decompose", lambda sub, eps: tampered)
+    calls = _spy_on_check_nmp(monkeypatch)
+    res = approx_nmp(g, 0.01)
+    assert res.factor is factor
+    assert not decompose._factor_proves_remainder(g, res)
+    assert approx_remainder(g, res) in calls
+    assert res.remainder_nmp_verified == _remainder_flow_verdict(g, res)
+    assert res.remainder_nmp_verified is (defect != "copy edge not in g")

@@ -148,20 +148,43 @@ def test_first_bad_edge_is_named_in_input_order(k, n, records):
     }[kind]
 
 
-# Corruptions of one edge line of a canonical text. The canonical ones keep
-# the serializer's form, so the bulk path must report them; the others leave
-# it, so the line loop must.
+def _line(corrupt):
+    """The edge lines with line i replaced by corrupt(line, k, n)."""
+    return lambda lines, i, k, n: lines[:i] + [corrupt(lines[i], k, n)] + lines[i + 1:]
+
+
+def _last_line(corrupt):
+    """The edge lines with the last one replaced by corrupt(line, k, n)."""
+    return lambda lines, i, k, n: lines[:-1] + [corrupt(lines[-1], k, n)]
+
+
+# Corruptions of the edge lines of a canonical text, at line i. The canonical
+# ones keep the serializer's form, so the bulk path must report them; the
+# others leave it, so the line loop must. For each condition of the bulk
+# path's form check, at least one of the others is caught by it alone.
 CANONICAL_CORRUPTIONS = {
-    "left out of range": lambda line, k, n: f"e {k} 0\n",
-    "right out of range": lambda line, k, n: f"e 0 {n + 10**17}\n",
-    "duplicate": lambda line, k, n: line + line,
+    "left out of range": _line(lambda line, k, n: f"e {k} 0\n"),
+    "right out of range": _line(lambda line, k, n: f"e 0 {n + 10**17}\n"),
+    "duplicate": _line(lambda line, k, n: line + line),
+    "18-digit token": _line(lambda line, k, n: "e 100000000000000000 0\n"),
+    "swapped lines": lambda lines, i, k, n: lines[:i] + lines[i:i + 2][::-1] + lines[i + 2:],
+    "left index k last": _last_line(lambda line, k, n: f"e {k} 0\n"),
+    "right index n alone": lambda lines, i, k, n: [f"e 0 {n}\n"],
 }
 OTHER_CORRUPTIONS = {
-    "19-digit token": lambda line, k, n: "e 1000000000000000000 0\n",
-    "tab": lambda line, k, n: line.replace(" ", "\t", 1),
-    "crlf": lambda line, k, n: line[:-1] + "\r\n",
-    "Arabic-Indic digit": lambda line, k, n: "e \u0660 " + line.split()[2] + "\n",
-    "no final newline": lambda line, k, n: line[:-1],
+    "19-digit token": _line(lambda line, k, n: "e 1000000000000000000 0\n"),
+    "tab": _line(lambda line, k, n: line.replace(" ", "\t", 1)),
+    "crlf": _line(lambda line, k, n: line[:-1] + "\r\n"),
+    "Arabic-Indic digit": _line(lambda line, k, n: "e \u0660 " + line.split()[2] + "\n"),
+    "no final newline": _last_line(lambda line, k, n: line[:-1]),
+    "digits after the final newline": _last_line(lambda line, k, n: line + "7"),
+    "leading space": _line(lambda line, k, n: " " + line),
+    "trailing space": _line(lambda line, k, n: line[:-1] + " \n"),
+    "double space": _line(lambda line, k, n: "e  " + "".join(line.split()[1:]) + "\n"),
+    "E for e": _line(lambda line, k, n: "E" + line[1:]),
+    "x for e": _line(lambda line, k, n: "x" + line[1:]),
+    "no space after e": _line(lambda line, k, n: "e1" + line[1:]),
+    "letter in a digit run": _line(lambda line, k, n: line.replace(" ", " 1a", 1)),
 }
 
 
@@ -184,11 +207,8 @@ def test_bulk_parse_matches_the_line_loop(g, comments, corruption, at):
     head, _, body = text.rpartition(f"p bipartite {g.k} {g.n}\n")
     lines = body.splitlines(keepends=True)
     if corruption is not None and lines:
-        i = at % len(lines)
-        if corruption == "no final newline":
-            i = len(lines) - 1
         corrupt = {**CANONICAL_CORRUPTIONS, **OTHER_CORRUPTIONS}[corruption]
-        lines[i] = corrupt(lines[i], g.k, g.n)
+        lines = corrupt(lines, at % len(lines), g.k, g.n)
         text = head + f"p bipartite {g.k} {g.n}\n" + "".join(lines)
     with mock.patch.object(graph, "_parse_lines", wraps=graph._parse_lines) as line_loop:
         got = parse_outcome(parse_graph, text)
@@ -197,6 +217,14 @@ def test_bulk_parse_matches_the_line_loop(g, comments, corruption, at):
         assert got == g
     bulk = corruption is None or corruption in CANONICAL_CORRUPTIONS or not lines
     assert line_loop.called is not bulk
+
+
+@pytest.mark.parametrize("corruption", [*CANONICAL_CORRUPTIONS, *OTHER_CORRUPTIONS])
+def test_bulk_parse_matches_the_line_loop_on_every_corruption(corruption):
+    # Each corruption once for sure, at an inner line, whatever the property draws.
+    test_bulk_parse_matches_the_line_loop.hypothesis.inner_test(
+        complete_graph(2, 3), ["c"], corruption, 1
+    )
 
 
 def test_bulk_parse_of_a_benchmark_sized_file_warns_nothing():
@@ -209,6 +237,20 @@ def test_bulk_parse_of_a_benchmark_sized_file_warns_nothing():
         warnings.simplefilter("error")
         assert parse_graph(text) == g
         assert parse_graph(text.encode()) == g
+
+
+@given(bipartite_graphs())
+def test_bulk_parse_sorts_only_unsorted_edges(g):
+    text = serialize_graph(g)
+    with mock.patch.object(graph.BipartiteGraph, "_build", wraps=graph.BipartiteGraph._build) as build:
+        assert parse_graph(text) == g
+        assert not build.called
+        head, _, body = text.partition("\n")
+        lines = body.splitlines(keepends=True)
+        if len(lines) >= 2:
+            lines[:2] = lines[1::-1]
+            assert parse_graph(head + "\n" + "".join(lines)) == g
+            assert build.called
 
 
 def test_bulk_parse_names_the_line_of_a_bad_edge():
@@ -318,6 +360,9 @@ def test_duplicate_edges_rejected():
 def test_sides_too_large_for_int64_edge_keys_rejected():
     with pytest.raises(ValueError, match="int64"):
         BipartiteGraph.from_edges(2**32, 2**32, [])
+    for header in ("p bipartite 4294967296 4294967296", "p bipartite 1 10000000000000000000"):
+        with pytest.raises(ValueError, match="int64"):
+            parse_graph(header + "\ne 0 0\n")
 
 
 def connected_by_union_find(g):

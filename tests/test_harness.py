@@ -157,6 +157,8 @@ def _with_cells(sol, cells):
     (lambda s: dataclasses.replace(s, grid=s.grid[:1]), "grid is not 2 rows of 3 entries"),
     (lambda s: dataclasses.replace(s, grid=tuple(row + (0,) for row in s.grid)),
      "grid is not 2 rows of 3 entries"),
+    (lambda s: _with_cells(s, {(0, 0): 0.5}), r"non-integer entry 0.5 at \(0, 0\)"),
+    (lambda s: _with_cells(s, {(1, 0): True}), r"non-integer entry True at \(1, 0\)"),
     (lambda s: _with_cells(s, {(0, 0): -1}), r"negative entry at \(0, 0\)"),
     (lambda s: _with_cells(s, {(0, 2): 1}), r"zero cell \(0, 2\) was filled"),
     (lambda s: dataclasses.replace(s, row_sum=None), "row/column sums must be positive"),
