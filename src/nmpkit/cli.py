@@ -147,12 +147,23 @@ def _read_int_list(path: str) -> list[int]:
 
 def _cmd_verify_pseudo(args) -> int:
     g = load_graph(args.graph)
-    est = None
+    eps = args.eps if args.eps is not None else Fraction(0)
+    rep = est = None
     if args.estimate:
-        est = estimate_thomason_params(g)
+        # With a valid --p, one scan gives both the verdict and the estimate.
+        # Otherwise the estimate scans on its own and its errors (k < 2, an
+        # isolated left vertex) come first; a bad --p is reported after it.
+        if args.p is not None and g.k >= 2:
+            try:
+                given = PseudoParams(args.p, eps)
+            except ValueError:
+                pass  # raised again below, after the estimate is printed
+            else:
+                rep = verify_thomason(g, given)
+        est = (rep and rep.estimated) or estimate_thomason_params(g)
         print(f"estimated p={float(est.p):.6g} ({est.p}) eps={float(est.eps):.6g} ({est.eps})")
     if args.p is not None:
-        params = PseudoParams(args.p, args.eps if args.eps is not None else Fraction(0))
+        params = PseudoParams(args.p, eps)
     elif est is not None:
         params = est
     else:
@@ -161,7 +172,8 @@ def _cmd_verify_pseudo(args) -> int:
     if not params.eps_in_definition_range:
         print(f"warning: eps = {float(params.eps):.6g} >= 1 is outside the defining range",
               file=sys.stderr)
-    rep = dataclasses.replace(verify_thomason(g, params), estimated=est)
+    if rep is None:
+        rep = verify_thomason(g, params)
     status = "pass" if rep.passed else "fail"
     extra = ""
     if rep.violating_vertex is not None:

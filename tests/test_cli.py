@@ -1,9 +1,10 @@
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
-from nmpkit import load_graph, parse_graph, serialize_graph
+from nmpkit import BipartiteGraph, load_graph, parse_graph, pseudo, serialize_graph
 from nmpkit.cli import main
 
 from conftest import complete_graph
@@ -156,6 +157,41 @@ def test_verify_pseudo(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("pass")
     assert main(["verify-pseudo", str(out), "--estimate"]) == 0
     assert "estimated p=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, scans, out", [
+    (["--p", "4/13"], 1, "pass min_left_degree=4 max_codegree=1\n"),
+    (["--estimate", "--p", "5/13"], 1,
+     "estimated p=0.307692 (4/13) eps=0 (0)\nfail min_left_degree=4 max_codegree=1 violating_vertex=0\n"),
+    # The estimate alone is verified like any claimed parameters.
+    (["--estimate"], 2, "estimated p=0.307692 (4/13) eps=0 (0)\npass min_left_degree=4 max_codegree=1\n"),
+])
+def test_verify_pseudo_scans_once_per_parameter_set(tmp_path, capsys, argv, scans, out):
+    path = tmp_path / "pg.graph"
+    main(["gen", "pg2", "--q", "3", "--out", str(path)])
+    capsys.readouterr()
+    with mock.patch.object(pseudo, "_codegrees", wraps=pseudo._codegrees) as scan:
+        assert main(["verify-pseudo", str(path), *argv]) == 0
+    assert scan.call_count == scans
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("edges, argv, out, error", [
+    ([(0, 0)], ["--estimate", "--p", "1/3"], "", "error: parameter estimation requires k >= 2\n"),
+    ([(0, 0), (2, 1)], ["--estimate", "--p", "1/3"], "",
+     "error: graph has an isolated left vertex; p would be 0\n"),
+    ([(0, 0), (1, 0), (1, 1)], ["--estimate", "--p", "0"], "estimated p=0.333333 (1/3) eps=2 (2)\n",
+     "error: p must be in (0, 1], got 0\n"),
+])
+def test_verify_pseudo_estimate_errors_come_first(tmp_path, capsys, edges, argv, out, error):
+    # With --estimate, the estimate's own errors come before --p's, and a bad
+    # --p is reported after the estimate is printed.
+    path = tmp_path / "g.graph"
+    k = max(x for x, _ in edges) + 1
+    path.write_text(serialize_graph(BipartiteGraph.from_edges(k, 3, edges)))
+    assert main(["verify-pseudo", str(path), *argv]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, error)
 
 
 def test_verify_pseudo_warns_large_eps(tmp_path, capsys):

@@ -262,13 +262,64 @@ def test_pair_scan_matches_the_gram_scan_on_larger_graphs(make):
 
 
 def test_codegrees_picks_the_scan_by_pair_count():
-    # PG(2, 47) has k*k*n / pairs = 4516 and takes the pair count; PG(2, 31)
-    # (1988) and G(300, 300, 0.3) take the Gram scan.
-    for g, pairs in ((gen_pg2(47), True), (gen_pg2(31), False), (gen_gnp(300, 300, 0.3, 1), False)):
+    # k*k*n / pairs is 4516 for PG(2, 47) and 1988 for PG(2, 31), which take
+    # the pair count; PG(2, 23) (1108) and G(300, 300, 0.3) take the Gram scan.
+    cases = ((gen_pg2(47), True), (gen_pg2(31), True), (gen_pg2(23), False),
+             (gen_gnp(300, 300, 0.3, 1), False))
+    for g, pairs in cases:
         with mock.patch.object(pseudo, "_pair_scan", wraps=pseudo._pair_scan) as pair, \
                 mock.patch.object(pseudo, "_codegree_scan", wraps=pseudo._codegree_scan) as gram:
             pseudo._codegrees(g)
         assert (pair.call_count, gram.call_count) == ((1, 0) if pairs else (0, 1))
+
+
+def sparse_graph(k, n, ys, seed, m):
+    """m random edges of a k x n graph, every right end drawn from ys."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(x), int(y)) for x, y in zip(rng.integers(0, k, m), rng.choice(ys, m))}
+    return BipartiteGraph.from_edges(k, n, sorted(edges))
+
+
+def assert_pair_scan_is_exact(g, bins):
+    want_max, want_rows = _codegree_scan(_incidence(g))
+    with mock.patch.object(pseudo, "_PAIR_BINS", bins):
+        max_cod, row_max = pseudo._pair_scan(g)
+    assert max_cod == want_max and row_max.tolist() == want_rows.tolist()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k, bins", [
+    (9, 1),        # _PAIR_BINS < k: one left row per block
+    (9, 8),
+    (11, 3 * 11),  # blocks of 3 rows over 10 rows: the last has one row
+    (12, 4 * 12),  # blocks of 4 rows over 11 rows: the last has three
+])
+def test_pair_scan_block_edges(k, bins, seed):
+    assert_pair_scan_is_exact(sparse_graph(k, 7, np.arange(7), seed, 3 * k), bins)
+
+
+@pytest.mark.parametrize("bins", [1, 6, 1 << 17])
+def test_pair_scan_empty_and_thin_graphs(bins):
+    # No edges at all; right vertices of degree 0 and 1 among larger lists;
+    # isolated left vertices at both ends, and a whole block of them.
+    graphs = [
+        BipartiteGraph.from_edges(5, 4, []),
+        BipartiteGraph.from_edges(6, 5, [(0, 2), (1, 3), (2, 1), (2, 3), (4, 3), (5, 1), (5, 3)]),
+        BipartiteGraph.from_edges(8, 3, [(2, 0), (2, 1), (3, 0), (3, 1), (5, 1)]),
+        BipartiteGraph.from_edges(3, 1, [(1, 0)]),
+    ]
+    for g in graphs:
+        assert_pair_scan_is_exact(g, bins)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 65535, 65536, 65537])
+def test_pair_scan_across_the_sort_dtype_switches(n):
+    # The argsort key is uint8 up to n = 256, uint16 up to n = 65536. Right
+    # ends at 0, 255, 256 and the top would collide in a key one size too
+    # narrow.
+    ys = np.array(sorted(y for y in {0, 1, 255, 256, n // 2, n - 2, n - 1} if y < n))
+    for seed in range(3):
+        assert_pair_scan_is_exact(sparse_graph(6, n, ys, seed, 20), 2 * 6)
 
 
 @given(
@@ -285,6 +336,20 @@ def test_verify_and_estimate_agree_on_both_scans(g, p, eps):
             est = None if min(np.diff(g.indptr)) == 0 else estimate_thomason_params(g)
             got.append((verify_thomason(g, params), est))
     assert got[0] == got[1]
+
+
+@given(
+    bipartite_graphs(max_k=8, max_n=10, min_k=2),
+    st.fractions(Fraction(1, 50), 1, max_denominator=50),
+    st.fractions(0, 2, max_denominator=50),
+)
+@settings(max_examples=80)
+def test_report_carries_the_estimate(g, p, eps):
+    rep = verify_thomason(g, PseudoParams(p, eps))
+    if min(np.diff(g.indptr)) == 0:
+        assert rep.estimated is None
+    else:
+        assert rep.estimated == estimate_thomason_params(g)
 
 
 def test_codegree_scan_spans_several_blocks():
