@@ -8,12 +8,14 @@ equivalent to NMP, and a saturating integral flow restricted to the graph
 edges is a multiplicity function (constant row sums n/g, constant column
 sums k/g). An unsaturated run yields a violating witness from the min cut:
 the left vertices on the source side S satisfy k*|N(S)| < n*|S|. The
-solver (`flow.max_flow`) is a greedy pass followed by Hopcroft-Karp-style
-augmenting phases; S and |N(S)| are the vertices its final breadth-first
-search reaches. That source side is the same for every maximum flow, so
-the witness does not depend on the solver. A vertex whose degree is below
-its quota (k*deg(x) < n on the left, n*deg(y) < k on the right) settles
-Violated before any flow.
+solver (`flow.max_flow`) is a greedy pass in ascending order of left
+degree, a linear repair pass along length-3 residual paths, and then
+Hopcroft-Karp-style augmenting phases; S and |N(S)| are the vertices its
+final breadth-first search reaches. That source side is the same for every
+maximum flow, so the witness does not depend on the solver; the
+multiplicity function is one of possibly many, and may change with it. A
+vertex whose degree is below its quota (k*deg(x) < n on the left,
+n*deg(y) < k on the right) settles Violated before any flow.
 
 The certificate fills the fields that come from the flow on their first
 read, so a caller that reads only the verdict pays for neither: a HasNMP

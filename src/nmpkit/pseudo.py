@@ -45,7 +45,7 @@ from .graph import (
     left_set,
     right_set,
 )
-from .rng import _GOLDEN, _MASK, SplitMix64, _sample_masks, _u64_blocks, derive_seed
+from .rng import _GOLDEN, _MASK, SplitMix64, _sample_masks, _seed64, _u64_blocks, derive_seed
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,11 @@ def estimate_thomason_params(g: BipartiteGraph) -> PseudoParams:
     return _estimate(g.n, min_deg, _codegrees(g)[0])
 
 
-# Stream outputs per block in gen_gnp, so its uint64 temporaries stay at
-# 256 KB whatever k*n is.
-_GNP_BLOCK = 1 << 15
+# Stream outputs per block in gen_gnp: its two uint64 buffers hold 128 KB
+# each whatever k*n is. At 2^15 (256 KB each) freeing them let the C heap
+# hand the pages back after every call, and the next call faulted about a
+# hundred pages in again.
+_GNP_BLOCK = 1 << 14
 
 
 def gen_gnp(k: int, n: int, p: float, seed: int) -> BipartiteGraph:
@@ -261,12 +263,14 @@ def gen_gnp(k: int, n: int, p: float, seed: int) -> BipartiteGraph:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if k < 1 or n < 1:
         raise ValueError("sides must be nonempty")
+    seed = _seed64(seed)
     bound = math.ceil(p * 2 ** 53) << 11
     if bound == 2 ** 64:  # p = 1: every output is below
         keys = np.arange(k * n)
     else:
+        bound = np.uint64(bound)
         keys = np.concatenate([
-            np.flatnonzero(block < np.uint64(bound)) + start
+            np.flatnonzero(block < bound) + start
             for start, block in _u64_blocks(seed, k * n, _GNP_BLOCK)
         ])
     return BipartiteGraph._from_keys(k, n, keys)

@@ -12,6 +12,8 @@ Substreams (per trial, per attempt, ...) are derived as
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -22,6 +24,17 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# The mix's shifts and multipliers as numpy scalars, built once.
+_NP_MIX = tuple(np.uint64(v) for v in (30, _MIX1, 27, _MIX2, 31))
+
+
+def _seed64(seed) -> int:
+    """seed as a Python int mod 2^64; numpy integers are accepted as the
+    equal Python int, and anything that is not an integer is a TypeError."""
+    try:
+        return operator.index(seed) & _MASK
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
 
 
 def mix64(z: int) -> int:
@@ -33,7 +46,7 @@ def mix64(z: int) -> int:
 
 def derive_seed(master: int, index: int) -> int:
     """Seed for substream `index` of the stream seeded with `master`."""
-    return mix64(mix64(master) ^ mix64(index + 1))
+    return mix64(mix64(_seed64(master)) ^ mix64(operator.index(index) + 1))
 
 
 class SplitMix64:
@@ -42,7 +55,7 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = _seed64(seed)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK
@@ -77,17 +90,20 @@ class SplitMix64:
         return pool[:size]
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
+def _mix64_array(z: np.ndarray, shifted: np.ndarray | None = None) -> np.ndarray:
     """mix64 of every element of the uint64 array z, in place; returns z.
 
-    One scratch array holds the shifts.
+    The scratch array `shifted`, of z's shape, holds the shifts; a fresh
+    one is allocated when it is not given.
     """
-    shifted = np.empty_like(z)
-    z ^= np.right_shift(z, np.uint64(30), out=shifted)
-    z *= np.uint64(_MIX1)
-    z ^= np.right_shift(z, np.uint64(27), out=shifted)
-    z *= np.uint64(_MIX2)
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    if shifted is None:
+        shifted = np.empty_like(z)
+    s1, m1, s2, m2, s3 = _NP_MIX
+    z ^= np.right_shift(z, s1, out=shifted)
+    z *= m1
+    z ^= np.right_shift(z, s2, out=shifted)
+    z *= m2
+    z ^= np.right_shift(z, s3, out=shifted)
     return z
 
 
@@ -95,7 +111,7 @@ def u64_stream(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of SplitMix64(seed), vectorized (uint64)."""
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
-    z += np.uint64(seed & _MASK)
+    z += np.uint64(_seed64(seed))
     return _mix64_array(z)
 
 
@@ -151,11 +167,33 @@ def _sample_masks(states, ns, sizes) -> np.ndarray:
     return mask
 
 
+@functools.lru_cache(maxsize=4)
+def _step_table(size: int) -> np.ndarray:
+    """(i * GOLDEN) mod 2^64 for i = 1..size, read-only; built on first use."""
+    steps = np.arange(1, size + 1, dtype=np.uint64)
+    steps *= np.uint64(_GOLDEN)
+    steps.flags.writeable = False
+    return steps
+
+
 def _u64_blocks(seed: int, count: int, size: int) -> Iterator[tuple[int, np.ndarray]]:
     """The first `count` outputs of SplitMix64(seed) as (offset, outputs)
-    pairs of at most `size` outputs each, so no array exceeds `size`."""
+    pairs of at most `size` outputs each, so no array exceeds `size`.
+
+    Output start + i is mix64(seed + start*GOLDEN + (i+1)*GOLDEN), so each
+    block adds one offset to the cached step table and mixes the sum in
+    place. Two buffers serve every block: each yielded array is a view that
+    the next block overwrites, so a caller keeps what it needs before
+    asking for the next one.
+    """
+    seed = _seed64(seed)
+    steps = _step_table(size)
+    z = np.empty(min(size, count), dtype=np.uint64)
+    shifted = np.empty_like(z)
     for start in range(0, count, size):
-        yield start, u64_stream(seed + start * _GOLDEN, min(size, count - start))
+        m = min(size, count - start)
+        block = np.add(steps[:m], np.uint64((seed + start * _GOLDEN) & _MASK), out=z[:m])
+        yield start, _mix64_array(block, shifted[:m])
 
 
 def uniform_stream(seed: int, count: int) -> np.ndarray:

@@ -67,10 +67,21 @@ def test_check_emit_multiplicity_bytes_are_pinned(tmp_path, capsys):
           "--out", str(gfile)])
     assert main(["check", str(gfile), "--emit-multiplicity", str(out)]) == 0
     data = out.read_bytes()
-    assert data.startswith(b"m 0 0 1\nm 0 1 1\nm 0 4 0\n")
+    assert data.startswith(b"m 0 0 0\nm 0 1 0\nm 0 4 0\n")
     assert hashlib.sha256(data).hexdigest() == (
-        "382aa1cd20d5c02c5e8d8dc97cb74cda7bc6ea7f92b18c04c34488dde434a426"
+        "829802668b9d96b964e5d489a21a960a4af76799da2c745e8442c70bd191a3d0"
     )
+    # One line per edge of the graph, in edge order, with row sums n/g = 3
+    # and column sums k/g = 2.
+    g = load_graph(str(gfile))
+    lines = [tuple(map(int, line.split()[1:])) for line in data.decode().splitlines()]
+    assert [(x, y) for x, y, _ in lines] == list(g.edges())
+    rows, cols = [0] * g.k, [0] * g.n
+    for x, y, m in lines:
+        assert m >= 0
+        rows[x] += m
+        cols[y] += m
+    assert set(rows) == {3} and set(cols) == {2}
 
 
 def test_unknown_flag_exits_2(k23_file):

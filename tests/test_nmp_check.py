@@ -26,6 +26,7 @@ from nmpkit import (
     validate_certificate,
     witness_transfer,
 )
+from nmpkit import flow
 from nmpkit.flow import max_flow
 from nmpkit.rng import SplitMix64, derive_seed
 
@@ -145,18 +146,104 @@ def test_certificates_validate_at_scale(k, n, c, seed):
     assert swapped.verdict is cert.verdict
 
 
+def canonical_cut(g, r, c):
+    """Minimum cut value and the intersection of its minimizing left sets,
+    over left subsets only: with the edge arcs uncapacitated, a cut whose
+    source side holds the lefts S must hold N(S) too, and costs
+    r*(k - |S|) + c*|N(S)|."""
+    nbr = [sum(1 << y for y in g.neighbors(x).tolist()) for x in range(g.k)]
+    best, common = None, None
+    for s_mask in range(1 << g.k):
+        members = [x for x in range(g.k) if s_mask >> x & 1]
+        nb = 0
+        for x in members:
+            nb |= nbr[x]
+        value = r * (g.k - len(members)) + c * nb.bit_count()
+        if best is None or value < best:
+            best, common = value, s_mask
+        elif value == best:
+            common &= s_mask
+    return best, [x for x in range(g.k) if common >> x & 1]
+
+
+@st.composite
+def unequal_sides(draw):
+    k = draw(st.integers(1, 8))
+    return k, draw(st.integers(1, 16).filter(lambda n: n != k))
+
+
+@st.composite
+def near_threshold_gnp(draw):
+    # p = c*ln(max)/min with c around 1, where both verdicts are common.
+    k, n = draw(unequal_sides())
+    c = draw(st.floats(0.5, 3.0))
+    p = min(1.0, c * math.log(max(k, n, 2)) / min(k, n))
+    return gen_gnp(k, n, p, draw(st.integers(0, 2**64 - 1)))
+
+
+@st.composite
+def two_block_violations(draw):
+    # Lefts [0, a) see only rights [0, b) and lefts [a, k) see rights
+    # [b, n), plus some edges from [a, k) into [0, b). With a*n > b*k the
+    # lefts [0, a) violate NMP; the cross edges give the repair pass rights
+    # to move lefts off.
+    k, n = draw(unequal_sides())
+    assume(k >= 2 and n >= 2)
+    a, b = draw(st.integers(1, k - 1)), draw(st.integers(1, n - 1))
+    assume(a * n > b * k)
+    edges = [(x, y) for x in range(a) for y in range(b)]
+    edges += [(x, y) for x in range(a, k) for y in range(b, n)]
+    cross = draw(st.sets(st.tuples(st.integers(a, k - 1), st.integers(0, b - 1))))
+    return BipartiteGraph.from_edges(k, n, sorted(edges + list(cross)))
+
+
+@given(st.one_of(near_threshold_gnp(), two_block_violations()))
+@settings(max_examples=150)
+def test_repair_with_capacities_keeps_the_flow_exact(g):
+    d = math.gcd(g.k, g.n)
+    r, c = g.n // d, g.k // d
+    cert = check_nmp(g)
+    assert cert.verdict is nmp_oracle_bruteforce(g).verdict
+    validate_certificate(g, cert)
+    value, fl, witness, nbhd = max_flow(g.indptr.tolist(), g.indices.tolist(), g.k, g.n, r, c)
+    cut_value, common = canonical_cut(g, r, c)
+    assert value == cut_value
+    assert witness == common
+    assert nbhd == len(neighborhood(g, left_set(witness)))
+    if cert.verdict is Verdict.VIOLATED:
+        assert list(cert.witness.members) == common
+    # A feasible flow under either verdict: non-negative, every row within
+    # r and every column within c, and its total is the value.
+    assert min(fl, default=0) >= 0
+    rows, cols = [0] * g.k, [0] * g.n
+    for (x, y), f in zip(g.edges(), fl):
+        rows[x] += f
+        cols[y] += f
+    assert max(rows) <= r and max(cols) <= c
+    assert sum(rows) == value
+
+
 def test_long_augmenting_path():
-    # Lefts 0..n-2 take rights i and i+1, left n-1 only right 0: a path of
-    # 2n vertices. The greedy pass gives left i right i for i < n-1, which
-    # leaves left n-1 unfilled; its only augmenting path runs through every
-    # vertex, about 10^5 arcs.
+    # Lefts 0..n-2 take rights i and i+1, and left n-1 rights 0 and 1: a
+    # path of 2n vertices with every left of degree 2. The greedy pass goes
+    # in index order, giving left i right i for i < n-1, and leaves left
+    # n-1 unfilled. The repair pass finds no detour x -> y -> x2 -> y2: the
+    # rights of left n-1 are held by lefts 0 and 1, whose rights are all
+    # full, and the only right with slack, n-1, is at the far end of the
+    # path. So one phase must push along a path through every vertex,
+    # about 10^5 arcs.
     n = 50_000
     edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)]
-    g = BipartiteGraph.from_edges(n, n, edges + [(n - 1, 0)])
-    cert = check_nmp(g)
+    g = BipartiteGraph.from_edges(n, n, edges + [(n - 1, 0), (n - 1, 1)])
+    with mock.patch("nmpkit.flow._blocking_flow", wraps=flow._blocking_flow) as phases:
+        cert = check_nmp(g)
+    assert phases.call_count == 1
     assert cert.verdict is Verdict.HAS_NMP
     validate_certificate(g, cert)
-    assert cert.multiplicity[(n - 1, 0)] == 1
+    # The shortest path starts at right 1 and moves every left from i to i+1.
+    assert cert.multiplicity[(n - 1, 1)] == 1
+    assert cert.multiplicity[(0, 0)] == 1
+    assert cert.multiplicity[(n // 2, n // 2 + 1)] == 1
     assert cert.multiplicity[(n - 2, n - 1)] == 1
 
 

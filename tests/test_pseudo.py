@@ -57,8 +57,9 @@ def gnp_by_floats(k, n, p, seed):
     return BipartiteGraph.from_matrix((uniform_stream(seed, k * n) < p).reshape(k, n))
 
 
-# Below one generation block, exactly one, and one full block plus a part.
-@pytest.mark.parametrize("k, n", [(1, 1), (1, 9), (3, 7), (128, 256), (200, 300)])
+# Below one generation block (2^14 outputs), exactly one, exactly two, and
+# several full blocks plus a part.
+@pytest.mark.parametrize("k, n", [(1, 1), (1, 9), (3, 7), (64, 256), (128, 256), (200, 300)])
 def test_gnp_integer_threshold_gives_the_float_bits(k, n):
     seed = 20 + k
     # Dyadic p = m * 2^-53 with m = v >> 11 of outputs of this very stream,
@@ -78,6 +79,37 @@ def test_gnp_integer_threshold_gives_the_float_bits(k, n):
             assert a.tolist() == b.tolist(), p
     assert gen_gnp(k, n, tops[0] * 2.0 ** -53, seed).has_edge(0, 0) is False
     assert gen_gnp(k, n, math.nextafter(tops[0] * 2.0 ** -53, 1), seed).has_edge(0, 0)
+
+
+def gnp_keys_by_outputs(k, n, p, seed):
+    """Edge keys x*n + y of G(k, n, p) from the whole stream at once: the
+    outputs below ceil(p * 2^53) * 2^11."""
+    return np.flatnonzero(u64_stream(seed, k * n) < np.uint64(math.ceil(p * 2**53) << 11))
+
+
+@pytest.mark.parametrize("seed", [0, 77, 2**64 - 1, 2**64 - 0x9E3779B97F4A7C15])
+def test_gnp_many_blocks_are_the_unblocked_stream(seed):
+    # k*n = 90300 outputs, above two blocks of 2^15: five full blocks of
+    # 2^14 and a partial last one. Near 2^64 the block offsets wrap.
+    k, n = 300, 301
+    for p in (0.019, 0.5, math.nextafter(1, 0)):
+        g = gen_gnp(k, n, p, seed)
+        keys = np.repeat(np.arange(k), np.diff(g.indptr)) * n + g.indices
+        assert keys.tolist() == gnp_keys_by_outputs(k, n, p, seed).tolist()
+
+
+@pytest.mark.parametrize("cast", [np.int64, np.uint64])
+def test_gnp_numpy_seeds_are_the_python_int(cast):
+    for k, n in ((10, 10), (300, 300)):
+        g, ref = gen_gnp(k, n, 0.5, cast(5)), gen_gnp(k, n, 0.5, 5)
+        assert g.indptr.tolist() == ref.indptr.tolist()
+        assert g.indices.tolist() == ref.indices.tolist()
+
+
+def test_gnp_rejects_a_float_seed():
+    for p in (0.5, 1.0):
+        with pytest.raises(TypeError, match=r"seed must be an integer, got 5\.0"):
+            gen_gnp(3, 3, p, 5.0)
 
 
 def test_gnp_validates_p():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -34,12 +36,59 @@ def test_vector_scalar_agreement():
     assert scalar == vector
 
 
-@given(st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(1, 70))
-def test_blocks_are_the_stream_cut_up(seed, count, size):
-    blocks = list(_u64_blocks(seed, count, size))
+def assert_blocks_are_the_stream_cut_up(seed, count, size):
+    # Each block is a view that the next one overwrites, so copy it out
+    # before asking for the next.
+    blocks = [(start, b.tolist()) for start, b in _u64_blocks(seed, count, size)]
     assert [start for start, _ in blocks] == list(range(0, count, size))
     assert all(1 <= len(b) <= size for _, b in blocks)
-    assert np.concatenate([b for _, b in blocks]).tolist() == u64_stream(seed, count).tolist()
+    assert [v for _, b in blocks for v in b] == u64_stream(seed, count).tolist()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(1, 70))
+def test_blocks_are_the_stream_cut_up(seed, count, size):
+    assert_blocks_are_the_stream_cut_up(seed, count, size)
+
+
+@given(
+    st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64 - 2**12, 2**64 - 1)),
+    st.integers(2, 40).flatmap(lambda size: st.tuples(st.just(size), st.integers(1, size - 1))),
+)
+@example(2**64 - 1, (7, 1))
+def test_blocks_cover_several_blocks_and_a_partial_last(seed, size_and_tail):
+    # Three full blocks and a partial last one. Near 2^64 the sum
+    # seed + (start + i)*GOLDEN wraps, inside a block or between two.
+    size, tail = size_and_tail
+    assert_blocks_are_the_stream_cut_up(seed, 3 * size + tail, size)
+
+
+@pytest.mark.parametrize("cast", [np.int64, np.uint64, np.int32, np.uint8])
+def test_numpy_integer_seeds_are_the_python_int(cast):
+    assert SplitMix64(cast(5)).next_u64() == SplitMix64(5).next_u64()
+    assert derive_seed(cast(5), cast(1)) == derive_seed(5, 1)
+    assert u64_stream(cast(5), 9).tolist() == u64_stream(5, 9).tolist()
+    assert uniform_stream(cast(5), 9).tolist() == uniform_stream(5, 9).tolist()
+    blocks = [(s, b.tolist()) for s, b in _u64_blocks(cast(5), 100, 30)]
+    assert blocks == [(s, b.tolist()) for s, b in _u64_blocks(5, 100, 30)]
+
+
+def test_numpy_seed_at_the_top_of_the_range():
+    top = np.uint64(2**64 - 1)
+    assert SplitMix64(top).next_u64() == SplitMix64(2**64 - 1).next_u64()
+    assert derive_seed(top, 3) == derive_seed(2**64 - 1, 3)
+    assert u64_stream(top, 5).tolist() == u64_stream(2**64 - 1, 5).tolist()
+
+
+@pytest.mark.parametrize("bad", [5.0, np.float64(5), "5", None])
+def test_non_integer_seed_is_a_type_error(bad):
+    for call in (
+        lambda: SplitMix64(bad),
+        lambda: derive_seed(bad, 0),
+        lambda: u64_stream(bad, 3),
+        lambda: list(_u64_blocks(bad, 3, 2)),
+    ):
+        with pytest.raises(TypeError, match=r"seed must be an integer, got " + re.escape(repr(bad))):
+            call()
 
 
 def test_uniforms_match_random():
