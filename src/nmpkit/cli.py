@@ -38,7 +38,8 @@ from .harness import (
 from .nmpcheck import Verdict, check_nmp
 from .pseudo import (
     PseudoParams,
-    estimate_thomason_params,
+    _estimate_scan,
+    _thomason_report,
     gen_gnp,
     gen_pg2,
     gen_sum_cayley,
@@ -148,19 +149,11 @@ def _read_int_list(path: str) -> list[int]:
 def _cmd_verify_pseudo(args) -> int:
     g = load_graph(args.graph)
     eps = args.eps if args.eps is not None else Fraction(0)
-    rep = est = None
+    est = scan = None
     if args.estimate:
-        # With a valid --p, one scan gives both the verdict and the estimate.
-        # Otherwise the estimate scans on its own and its errors (k < 2, an
-        # isolated left vertex) come first; a bad --p is reported after it.
-        if args.p is not None and g.k >= 2:
-            try:
-                given = PseudoParams(args.p, eps)
-            except ValueError:
-                pass  # raised again below, after the estimate is printed
-            else:
-                rep = verify_thomason(g, given)
-        est = (rep and rep.estimated) or estimate_thomason_params(g)
+        # The estimate's errors (k < 2, an isolated left vertex) come first,
+        # a bad --p is reported after it, and the report comes from its scan.
+        est, scan = _estimate_scan(g)
         print(f"estimated p={float(est.p):.6g} ({est.p}) eps={float(est.eps):.6g} ({est.eps})")
     if args.p is not None:
         params = PseudoParams(args.p, eps)
@@ -172,8 +165,7 @@ def _cmd_verify_pseudo(args) -> int:
     if not params.eps_in_definition_range:
         print(f"warning: eps = {float(params.eps):.6g} >= 1 is outside the defining range",
               file=sys.stderr)
-    if rep is None:
-        rep = verify_thomason(g, params)
+    rep = verify_thomason(g, params) if scan is None else _thomason_report(g, params, scan)
     status = "pass" if rep.passed else "fail"
     extra = ""
     if rep.violating_vertex is not None:

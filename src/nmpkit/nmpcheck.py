@@ -30,8 +30,10 @@ inequality check, and transfer of a right-side witness to a left-side one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -148,6 +150,9 @@ def validate_certificate(g: BipartiteGraph, cert: NMPCertificate) -> None:
     """Re-verify a certificate from scratch; raises ValueError when unsound.
 
     Independent of the flow solver: only sums and the witness inequality.
+    A multiplicity is read into arrays in one pass, its keys are looked up
+    in g's sorted edge keys, and its sums are taken with np.add.at; a
+    defective entry is named as the first one in dict order.
     """
     d = math.gcd(g.k, g.n)
     if cert.row_sum != g.n // d or cert.col_sum != g.k // d:
@@ -156,21 +161,16 @@ def validate_certificate(g: BipartiteGraph, cert: NMPCertificate) -> None:
         mult = cert.multiplicity
         if mult is None:
             raise ValueError("HasNMP certificate missing multiplicity function")
-        nbrs = [set(g.neighbors(x).tolist()) for x in range(g.k)]
-        rows = [0] * g.k
-        cols = [0] * g.n
-        for (x, y), m in mult.items():
-            if not (0 <= x < g.k and y in nbrs[x]):
-                raise ValueError(f"multiplicity on non-edge ({x}, {y})")
-            if type(m) is not int and not isinstance(m, np.integer):
-                raise ValueError(f"non-integer multiplicity {m!r} on ({x}, {y})")
-            if m < 0:
-                raise ValueError("negative multiplicity")
-            rows[x] += m
-            cols[y] += m
-        if any(r != cert.row_sum for r in rows):
+        # Every value is clipped to at most cap, which keeps each int64 sum
+        # exact and still above its target when one value is.
+        xs, ys, ms = _multiplicity_arrays(g, mult, max(cert.row_sum, cert.col_sum) + 1)
+        rows = np.zeros(g.k, dtype=np.int64)
+        cols = np.zeros(g.n, dtype=np.int64)
+        np.add.at(rows, xs, ms)
+        np.add.at(cols, ys, ms)
+        if (rows != cert.row_sum).any():
             raise ValueError("row sums not constant at n/gcd")
-        if any(c != cert.col_sum for c in cols):
+        if (cols != cert.col_sum).any():
             raise ValueError("column sums not constant at k/gcd")
     else:
         if cert.witness is None or len(cert.witness) == 0:
@@ -182,6 +182,74 @@ def validate_certificate(g: BipartiteGraph, cert: NMPCertificate) -> None:
             raise ValueError("stated witness neighborhood size is wrong")
         if not g.k * len(nbhd) < g.n * len(cert.witness):
             raise ValueError("witness does not violate the NMP inequality")
+
+
+def _key_pair(key, k: int, n: int) -> tuple[int, int] | None:
+    """A multiplicity key's (x, y), clipped to [-1, k] x [-1, n], or None
+    when the key is not a pair of integers."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        return None
+    try:
+        x, y = operator.index(key[0]), operator.index(key[1])
+    except TypeError:
+        return None
+    return min(max(x, -1), k), min(max(y, -1), n)
+
+
+def _is_int(v) -> bool:
+    """A multiplicity value must be a Python or numpy integer, not a bool."""
+    return type(v) is int or isinstance(v, np.integer)
+
+
+def _multiplicity_arrays(g: BipartiteGraph, mult: dict, cap: int):
+    """Left ends, right ends and values of a multiplicity dict's entries, as
+    int64 arrays in dict order, each value clipped to at most cap.
+
+    Raises ValueError for the first entry, in dict order, that is not an
+    integer >= 0 on an edge of g. The keys are looked up in g's sorted edge
+    keys x*n + y, without the solver. A dict whose keys are tuples of two
+    integers and whose values are integers, all within int64, is read by
+    np.fromiter in one pass over its keys and one over its values; any other
+    dict is read entry by entry.
+    """
+    keys, vals = list(mult), list(mult.values())
+    m = len(keys)
+    plain = (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
+             and all(t is int or issubclass(t, np.integer) for t in set(map(type, vals))))
+    if plain:
+        try:
+            xy = np.fromiter(map(operator.index, chain.from_iterable(keys)), np.int64, 2 * m)
+            ms = np.fromiter(vals, np.int64, m)
+        except (TypeError, OverflowError):  # a key that is not an integer, or past int64
+            plain = False
+    if plain:
+        xs, ys = xy[0::2], xy[1::2]
+        is_int = np.ones(m, dtype=bool)
+    else:
+        # A key that is not a pair of integers reads (-1, -1), never an edge.
+        pairs = [_key_pair(key, g.k, g.n) or (-1, -1) for key in keys]
+        xs, ys = np.array(pairs, dtype=np.int64).reshape(m, 2).T
+        is_int = np.array([_is_int(v) for v in vals], dtype=bool)
+        ms = np.array([min(max(v, -1), cap) if ok else 0 for v, ok in zip(vals, is_int)],
+                      dtype=np.int64)
+    xs, ys, ms = np.clip(xs, -1, g.k), np.clip(ys, -1, g.n), np.clip(ms, -1, cap)
+
+    wanted = np.where((xs >= 0) & (xs < g.k) & (ys >= 0) & (ys < g.n), xs * g.n + ys, -1)
+    edge_xs, edge_ys = g.edge_arrays()
+    edge_keys = np.append(edge_xs * g.n + edge_ys, np.iinfo(np.int64).max)
+    on_edge = edge_keys[np.searchsorted(edge_keys, wanted)] == wanted
+    bad = ~on_edge | ~is_int | (ms < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        key = keys[i]
+        if not on_edge[i]:
+            if isinstance(key, tuple) and len(key) == 2:
+                raise ValueError(f"multiplicity on non-edge ({key[0]}, {key[1]})")
+            raise ValueError(f"malformed multiplicity key {key!r}")
+        if not is_int[i]:
+            raise ValueError(f"non-integer multiplicity {vals[i]!r} on ({key[0]}, {key[1]})")
+        raise ValueError("negative multiplicity")
+    return xs, ys, ms
 
 
 def nmp_oracle_bruteforce(g: BipartiteGraph) -> OracleResult:

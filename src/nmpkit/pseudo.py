@@ -199,6 +199,11 @@ def verify_thomason(g: BipartiteGraph, params: PseudoParams) -> PseudoReport:
     """
     if g.k < 2:
         raise ValueError("pseudorandomness verification requires k >= 2")
+    return _thomason_report(g, params, _codegrees(g))
+
+
+def _thomason_report(g: BipartiteGraph, params: PseudoParams, scan: tuple[int, np.ndarray]) -> PseudoReport:
+    """verify_thomason's report, given _codegrees(g)."""
     degs = np.diff(g.indptr)
     min_deg = int(degs.min())
     deg_bound = params.p * g.n
@@ -206,7 +211,7 @@ def verify_thomason(g: BipartiteGraph, params: PseudoParams) -> PseudoReport:
     if min_deg < deg_bound:
         violating_vertex = int(np.argmax(degs < math.ceil(deg_bound)))
 
-    max_cod, row_max = _codegrees(g)
+    max_cod, row_max = scan
     cod_bound = (1 + params.eps) * params.p * params.p * g.n
     violating_pair = None
     if max_cod > cod_bound:
@@ -234,12 +239,19 @@ def verify_thomason(g: BipartiteGraph, params: PseudoParams) -> PseudoReport:
 
 def estimate_thomason_params(g: BipartiteGraph) -> PseudoParams:
     """Tightest (p, eps) the graph itself supports; always verifies."""
+    return _estimate_scan(g)[0]
+
+
+def _estimate_scan(g: BipartiteGraph) -> tuple[PseudoParams, tuple[int, np.ndarray]]:
+    """estimate_thomason_params(g), with the _codegrees(g) it came from, for
+    _thomason_report."""
     if g.k < 2:
         raise ValueError("parameter estimation requires k >= 2")
     min_deg = int(np.diff(g.indptr).min())
     if min_deg < 1:
         raise ValueError("graph has an isolated left vertex; p would be 0")
-    return _estimate(g.n, min_deg, _codegrees(g)[0])
+    scan = _codegrees(g)
+    return _estimate(g.n, min_deg, scan[0]), scan
 
 
 # Stream outputs per block in gen_gnp: its two uint64 buffers hold 128 KB

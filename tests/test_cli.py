@@ -174,8 +174,9 @@ def test_verify_pseudo(tmp_path, capsys):
     (["--p", "4/13"], 1, "pass min_left_degree=4 max_codegree=1\n"),
     (["--estimate", "--p", "5/13"], 1,
      "estimated p=0.307692 (4/13) eps=0 (0)\nfail min_left_degree=4 max_codegree=1 violating_vertex=0\n"),
-    # The estimate alone is verified like any claimed parameters.
-    (["--estimate"], 2, "estimated p=0.307692 (4/13) eps=0 (0)\npass min_left_degree=4 max_codegree=1\n"),
+    # The estimate alone is verified like any claimed parameters, from the
+    # estimate's own scan.
+    (["--estimate"], 1, "estimated p=0.307692 (4/13) eps=0 (0)\npass min_left_degree=4 max_codegree=1\n"),
 ])
 def test_verify_pseudo_scans_once_per_parameter_set(tmp_path, capsys, argv, scans, out):
     path = tmp_path / "pg.graph"

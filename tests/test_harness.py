@@ -1,7 +1,15 @@
 import dataclasses
+import errno
+import math
+import os
+import signal
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmpkit import (
     BipartiteGraph,
@@ -16,7 +24,11 @@ from nmpkit import (
     threshold_sweep,
     validate_star_fill,
 )
-from nmpkit.harness import sweep_csv, star_array_graph
+from nmpkit import harness
+from nmpkit.harness import _wilson, sweep_csv, star_array_graph
+from nmpkit.nmpcheck import Verdict, check_nmp
+from nmpkit.pseudo import gen_gnp
+from nmpkit.rng import derive_seed
 
 from conftest import complete_graph
 
@@ -63,6 +75,204 @@ def test_sweep_csv_header():
     assert lines[0].startswith("# nmp sweep v0.1.0 algo=splitmix64 seed=9")
     assert lines[1] == "p,c,trials,successes,phat,wilson_lo,wilson_hi"
     assert len(lines) == 3
+
+
+def serial_rows(cfg):
+    """The sweep's rows from a plain loop over grid points and trials."""
+    rows = []
+    for gi, value in enumerate(cfg.p_grid if cfg.p_grid is not None else cfg.c_grid):
+        if cfg.p_grid is not None:
+            p, c = value, value * cfg.k / math.log(cfg.n)
+        else:
+            p, c = min(1.0, value * math.log(cfg.n) / cfg.k), value
+        point_seed = derive_seed(cfg.master_seed, gi)
+        successes = sum(
+            check_nmp(gen_gnp(cfg.k, cfg.n, p, derive_seed(point_seed, t))).verdict is Verdict.HAS_NMP
+            for t in range(cfg.trials)
+        )
+        lo, hi = _wilson(successes, cfg.trials)
+        rows.append(harness.SweepRow(p, c, cfg.trials, successes, successes / cfg.trials, lo, hi))
+    return rows
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    yield
+    assert_no_children()
+
+
+def forked_sweep(cfg, workers):
+    """threshold_sweep with exactly `workers` workers (fewer if there are
+    fewer trials), counting the forks."""
+    forks = []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    real_fork = os.fork
+    with mock.patch.object(harness, "_usable_cpus", return_value=workers), \
+            mock.patch.object(harness, "_FORK_MIN_OUTPUTS", 1), \
+            mock.patch.object(harness.os, "fork", fork):
+        rows = threshold_sweep(cfg)
+    assert_no_children()
+    return rows, len(forks)
+
+
+SPLIT_CFG = SweepConfig(k=20, n=30, trials=7, master_seed=5, c_grid=(0.5, 1.0, 1.5, 2.5))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])  # 8: more workers than most hosts' CPUs
+def test_sweep_rows_equal_serial_rows_for_any_worker_count(workers):
+    rows, forks = forked_sweep(SPLIT_CFG, workers)
+    assert forks == workers - 1
+    assert rows == serial_rows(SPLIT_CFG)
+    assert 0 < sum(r.successes for r in rows) < 4 * SPLIT_CFG.trials
+
+
+@settings(max_examples=15)
+@given(
+    k=st.integers(1, 12),
+    extra=st.integers(1, 12),
+    trials=st.integers(1, 5),
+    grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    use_p=st.booleans(),
+    workers=st.integers(2, 3),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sweep_split_matches_serial_property(k, extra, trials, grid, use_p, workers, seed):
+    # k != n; a c grid in [0, 3] covers the whole threshold window.
+    cfg = SweepConfig(k=k, n=k + extra, trials=trials, master_seed=seed,
+                      p_grid=tuple(grid) if use_p else None,
+                      c_grid=None if use_p else tuple(3 * c for c in grid))
+    rows, forks = forked_sweep(cfg, workers)
+    assert forks == min(workers, trials * len(grid)) - 1
+    assert rows == serial_rows(cfg)
+
+
+def test_sweep_failed_child_share_is_rerun_by_the_parent():
+    parent = os.getpid()
+    real_check = harness.check_nmp
+
+    def check_in_parent_only(g):
+        if os.getpid() != parent:
+            raise RuntimeError("child failure")
+        return real_check(g)
+
+    with mock.patch.object(harness, "check_nmp", check_in_parent_only):
+        rows, forks = forked_sweep(SPLIT_CFG, 3)
+    assert forks == 2
+    assert rows == serial_rows(SPLIT_CFG)
+
+
+@pytest.mark.parametrize("successful_forks", [0, 1])
+def test_sweep_runs_the_shares_of_failed_forks_in_the_parent(successful_forks):
+    # Under a process limit fork raises EAGAIN (ENOMEM under strict overcommit).
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        if len(forks) > successful_forks:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    with mock.patch.object(harness, "_usable_cpus", return_value=3), \
+            mock.patch.object(harness, "_FORK_MIN_OUTPUTS", 1), \
+            mock.patch.object(harness.os, "fork", fork):
+        rows = threshold_sweep(SPLIT_CFG)
+    assert len(forks) == successful_forks + 1  # no fork is tried after one fails
+    assert rows == serial_rows(SPLIT_CFG)
+    assert_no_children()
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds  # the failed forks' pipes are closed
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_sweep_kills_and_reaps_children_when_the_parent_share_raises(error):
+    parent = os.getpid()
+
+    def stall_children_fail_parent(g):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise error("parent failure")
+
+    t0 = time.monotonic()
+    with mock.patch.object(harness, "check_nmp", stall_children_fail_parent), \
+            pytest.raises(error, match="parent failure"):
+        forked_sweep(SPLIT_CFG, 3)
+    assert_no_children()
+    assert time.monotonic() - t0 < 30
+
+
+@pytest.fixture
+def sigchld_ignored():
+    # Some programs ignore SIGCHLD; then the kernel reaps children itself.
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+
+
+def test_sweep_works_where_sigchld_is_ignored(sigchld_ignored):
+    rows, forks = forked_sweep(SPLIT_CFG, 3)
+    assert forks == 2
+    assert rows == serial_rows(SPLIT_CFG)
+    parent = os.getpid()
+
+    def fail_in_parent_after_children_exit(g):
+        if os.getpid() == parent:
+            time.sleep(0.5)  # the children are done and gone by now
+            raise RuntimeError("parent failure")
+        return check_nmp(g)
+
+    with mock.patch.object(harness, "check_nmp", fail_in_parent_after_children_exit), \
+            pytest.raises(RuntimeError, match="parent failure"):
+        forked_sweep(SPLIT_CFG, 3)
+
+
+def test_sweep_with_one_worker_forks_nothing():
+    def no_fork():
+        raise AssertionError("forked")
+
+    with mock.patch.object(harness.os, "fork", no_fork):
+        with mock.patch.object(harness, "_usable_cpus", return_value=1):
+            assert threshold_sweep(SPLIT_CFG) == serial_rows(SPLIT_CFG)
+        # Small: 28 trials of 600 outputs are far below one share.
+        assert threshold_sweep(SPLIT_CFG) == serial_rows(SPLIT_CFG)
+    assert_no_children()
+
+
+def test_worker_count_rule():
+    floor = harness._FORK_MIN_OUTPUTS
+    with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        for cpus in (1, 2, 10_000):
+            # A tiny sweep, and one below two shares, stay in this process.
+            assert harness._worker_count(cpus, 1, 1) == 1
+            assert harness._worker_count(cpus, 28, 2 * floor - 1) == 1
+            # No sweep at all still has its one worker.
+            assert harness._worker_count(cpus, 0, 0) == 1
+            # A huge sweep takes every CPU, but never more workers than trials.
+            assert harness._worker_count(cpus, 10**9, 10**15) == cpus
+            assert harness._worker_count(cpus, 3, 10**15) == min(cpus, 3)
+        assert harness._worker_count(10_000, 10**6, 5 * floor) == 5
+        # The benchmark's sweep: 200 trials of 300 x 300 outputs.
+        assert harness._worker_count(2, 200, 200 * 300 * 300) == 2
+
+
+def test_usable_cpus():
+    assert harness._usable_cpus() == len(os.sched_getaffinity(0))
+    with mock.patch.object(harness, "os", mock.Mock(spec=["cpu_count"], cpu_count=lambda: 4)):
+        assert harness._usable_cpus() == 1  # no os.fork
+    with mock.patch.object(harness, "os", mock.Mock(spec=["fork", "cpu_count"], cpu_count=lambda: 4)):
+        assert harness._usable_cpus() == 4  # no sched_getaffinity
 
 
 def test_sweep_config_validation():

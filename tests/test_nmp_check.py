@@ -507,6 +507,129 @@ def test_validate_certificate_accepts_numpy_integer_multiplicities():
     validate_certificate(g, dataclasses.replace(cert, multiplicity=as_numpy))
 
 
+def reference_multiplicity_check(g, row_sum, col_sum, mult):
+    """The rejection a plain loop over the entries gives, or None: the first
+    bad entry in dict order (non-edge, then non-integer, then negative),
+    then the row sums, then the column sums."""
+    rows, cols = [0] * g.k, [0] * g.n
+    for (x, y), m in mult.items():
+        if not (0 <= x < g.k and 0 <= y < g.n and g.has_edge(x, y)):
+            return f"multiplicity on non-edge ({x}, {y})"
+        if type(m) is not int and not isinstance(m, np.integer):
+            return f"non-integer multiplicity {m!r} on ({x}, {y})"
+        if m < 0:
+            return "negative multiplicity"
+        rows[x] += m
+        cols[y] += m
+    if any(r != row_sum for r in rows):
+        return "row sums not constant at n/gcd"
+    if any(c != col_sum for c in cols):
+        return "column sums not constant at k/gcd"
+    return None
+
+
+def validator_message(g, cert):
+    try:
+        validate_certificate(g, cert)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+MULTIPLICITY_VALUES = st.one_of(
+    st.integers(-3, 4), st.integers(-2**70, 2**70), st.sampled_from([0.5, 1.0, True, False, "1", None]),
+    st.integers(0, 3).map(np.int64), st.integers(0, 3).map(np.uint8),
+)
+
+
+@given(
+    bipartite_graphs(max_k=6, max_n=7),
+    st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 8), MULTIPLICITY_VALUES), max_size=6),
+    st.lists(st.integers(0, 60), max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_validator_matches_a_plain_loop_over_entries(g, changes, drops, reorder):
+    # Well-formed keys: the vectorized validator gives the loop's verdict and
+    # message on any mix of edges, non-edges, out-of-range indices, floats,
+    # bools, strings, huge and negative values, in any dict order.
+    cert = check_nmp(g)
+    mult = dict(cert.multiplicity) if cert.verdict is Verdict.HAS_NMP else dict.fromkeys(g.edges(), 1)
+    for i in drops:
+        if mult:
+            del mult[list(mult)[i % len(mult)]]
+    for x, y, m in changes:
+        mult[(x, y)] = m
+    if reorder:
+        mult = dict(reversed(list(mult.items())))
+    d = math.gcd(g.k, g.n)
+    plain = NMPCertificate(Verdict.HAS_NMP, g.n // d, g.k // d, mult)
+    assert validator_message(g, plain) == reference_multiplicity_check(g, g.n // d, g.k // d, mult)
+
+
+@pytest.mark.parametrize("key, message", [
+    (5, "malformed multiplicity key 5"),
+    ("ab", "malformed multiplicity key 'ab'"),
+    ((0,), r"malformed multiplicity key \(0,\)"),
+    ((0, 1, 2), r"malformed multiplicity key \(0, 1, 2\)"),
+    (frozenset({0, 1}), r"malformed multiplicity key frozenset\(\{0, 1\}\)"),
+    (b"\x00\x01", r"malformed multiplicity key b'\\x00\\x01'"),
+    ((1.5, 0), r"multiplicity on non-edge \(1\.5, 0\)"),
+    (("0", 0), r"multiplicity on non-edge \(0, 0\)"),
+    ((0, 2**70), rf"multiplicity on non-edge \(0, {2**70}\)"),
+    ((None, None), r"multiplicity on non-edge \(None, None\)"),
+])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_validator_rejects_malformed_keys(key, message, where):
+    g, _ = TAMPER_HOSTS[HAS]
+    cert = check_nmp(g)
+    entries = list(cert.multiplicity.items())
+    entries.insert(0 if where == "first" else len(entries), (key, 0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_certificate(g, dataclasses.replace(cert, multiplicity=dict(entries)))
+
+
+def test_validator_reports_the_first_bad_entry_in_dict_order():
+    g, _ = TAMPER_HOSTS[HAS]  # T_{2,3}: x0 ~ y0 y1, x1 ~ y0 y2
+    cert = check_nmp(g)
+    good = dict(cert.multiplicity)
+    cases = [
+        ({(0, 0): -1, (0, 2): 0}, "negative multiplicity"),
+        ({(0, 2): 0, (0, 0): -1}, r"multiplicity on non-edge \(0, 2\)"),
+        ({(1, 0): 0.5, (0, 0): -1}, r"non-integer multiplicity 0\.5 on \(1, 0\)"),
+        ({(0, 0): -1, (1, 0): 0.5}, "negative multiplicity"),
+        ({(0, 0): 2**70}, "row sums not constant"),
+        ({(0, 0): -2**70}, "negative multiplicity"),
+        ({(0, 0): np.uint64(2**64 - 1)}, "row sums not constant"),
+    ]
+    for front, message in cases:
+        mult = {**front, **{e: m for e, m in good.items() if e not in front}}
+        with pytest.raises(ValueError, match=f"^{message}"):
+            validate_certificate(g, dataclasses.replace(cert, multiplicity=mult))
+
+
+def test_validator_sums_do_not_wrap():
+    # On K_{3,3} (row and column sums 1) each row and column of
+    # (M, M, 3) / (M, 3, M) / (3, M, M) with M = 2^63 - 1 sums to 2^64 + 1,
+    # which wraps to 1 in int64.
+    g = complete_graph(3, 3)
+    cert = check_nmp(g)
+    big = 2**63 - 1
+    rows = [(big, big, 3), (big, 3, big), (3, big, big)]
+    mult = {(x, y): rows[x][y] for x in range(3) for y in range(3)}
+    with pytest.raises(ValueError, match="^row sums not constant"):
+        validate_certificate(g, dataclasses.replace(cert, multiplicity=mult))
+
+
+def test_validator_accepts_keys_equal_to_edges():
+    # A key equal to an edge's (x, y) is that edge, as in the dict itself.
+    g, _ = TAMPER_HOSTS[HAS]
+    cert = check_nmp(g)
+    for convert in (np.int64, np.uint16, lambda v: v):
+        mult = {(convert(x), convert(y)): m for (x, y), m in cert.multiplicity.items()}
+        validate_certificate(g, dataclasses.replace(cert, multiplicity=mult))
+
+
 # ------------------------------------------------- the degree test, deferred
 
 

@@ -377,11 +377,16 @@ def test_verify_and_estimate_agree_on_both_scans(g, p, eps):
 )
 @settings(max_examples=80)
 def test_report_carries_the_estimate(g, p, eps):
-    rep = verify_thomason(g, PseudoParams(p, eps))
+    params = PseudoParams(p, eps)
+    rep = verify_thomason(g, params)
     if min(np.diff(g.indptr)) == 0:
         assert rep.estimated is None
     else:
-        assert rep.estimated == estimate_thomason_params(g)
+        est, scan = pseudo._estimate_scan(g)
+        assert rep.estimated == est == estimate_thomason_params(g)
+        # The estimate's own scan builds the same report, at any params.
+        assert pseudo._thomason_report(g, params, scan) == rep
+        assert pseudo._thomason_report(g, est, scan) == verify_thomason(g, est)
 
 
 def test_codegree_scan_spans_several_blocks():
