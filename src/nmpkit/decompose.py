@@ -162,6 +162,7 @@ def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace
 
     deleted: tuple[list[int], list[int]] = ([], [])  # (left, right)
     records: list[StageRecord] = []
+    gt = None  # g.swap_sides(), built once for the Y-side stages
 
     # Stage 1 anchors the first block of its stationary side; start with one
     # single-vertex copy per anchor so every stage runs the same step.
@@ -181,12 +182,17 @@ def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace
         anchors = sorted(h for c in copies for h in c[a])
         if grow_right:
             ext = extract_thrill(g, left_set(anchors), right_set(pool), qi, Side.LEFT)
-            failed, leftover = set(ext.A), ext.B
-            within = len(ext.A) * qi <= d0 and len(ext.B) <= d0
+            a_size, b_size = len(ext.A), len(ext.B)
+            within = a_size * qi <= d0 and b_size <= d0
         else:
-            ext = extract_thrill(g, left_set(pool), right_set(anchors), qi, Side.RIGHT)
-            failed, leftover = set(ext.B), ext.A
-            within = len(ext.A) <= qi * d0 and len(ext.B) <= d0
+            # The Y-side thrill is the X-side one of the transpose, whose
+            # leftovers are the other way round.
+            if gt is None:
+                gt = g.swap_sides()
+            ext = extract_thrill(gt, left_set(anchors), right_set(pool), qi, Side.LEFT)
+            a_size, b_size = len(ext.B), len(ext.A)
+            within = a_size <= qi * d0 and b_size <= d0
+        failed, leftover = set(ext.A), ext.B
         fan_of = {f.anchor: f.leaves for f in ext.thrill.fans}
         leaf_anchors = sched.leaf_anchors(i)
 
@@ -221,8 +227,8 @@ def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace
                 anchor_side="X" if grow_right else "Y",
                 q=qi,
                 s_size=s_need,
-                a_size=len(ext.A),
-                b_size=len(ext.B),
+                a_size=a_size,
+                b_size=b_size,
                 corrupt_copies=corrupt_copies,
                 corrupt_x=len(corrupt[0]),
                 corrupt_y=len(corrupt[1]),

@@ -10,17 +10,19 @@ minlength=g.n). Every graph ends in one private constructor, _from_keys,
 which takes the edge keys x*n + y strictly increasing. _build range-checks
 edges given in any order, rejects repeats and sorts them into keys; callers
 whose keys are sorted and unique by construction (induced subgraphs,
-G(k, n, p)) skip that sort. The arrays are read-only, so graphs are
-immutable after construction.
+G(k, n, p)) skip that sort. The one exception is parse_graph's bulk path,
+which checks the same precondition as it decodes each x and y, and builds
+the rows from them. The arrays are read-only, so graphs are immutable after
+construction.
 
 File format (line-oriented UTF-8):
     # optional comment lines
     p bipartite <k> <n>
     e <x> <y>          (0 <= x < k, 0 <= y < n; duplicates are an error)
 The serializer emits the header and then edges sorted by (x, y). When the
-edge lines are exactly in that form, the parser checks it on the bytes and
-reads them in bulk, and sorted edges skip _build's sort; any other valid
-text parses to the same graph line by line.
+edge lines are exactly in that form, the parser checks it and decodes the
+numbers on the bytes, in chunks that fit in L2, and sorted edges skip
+_build's sort; any other valid text parses to the same graph line by line.
 """
 
 from __future__ import annotations
@@ -250,11 +252,6 @@ class BipartiteGraph:
         keys.sort()
         return BipartiteGraph._from_keys(self.n, self.k, keys)
 
-    def with_edge(self, x: int, y: int) -> "BipartiteGraph":
-        """New graph with one extra edge (error if it already exists)."""
-        xs, ys = self.edge_arrays()
-        return BipartiteGraph._build(self.k, self.n, np.append(xs, x), np.append(ys, y))
-
     def matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (k x n)."""
         mat = np.zeros((self.k, self.n), dtype=bool)
@@ -370,8 +367,8 @@ def _parse_lines(text: str) -> BipartiteGraph:
     return _token_graph(*_scan_lines(text))
 
 
-# Line breaks of str.splitlines other than "\n".
-_OTHER_LINE_BREAKS = re.compile("[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# The line breaks of str.splitlines.
+_LINE_BREAKS = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _header_end(text: str) -> int | None:
@@ -380,7 +377,7 @@ def _header_end(text: str) -> int | None:
     pos = 0
     while (end := text.find("\n", pos)) >= 0:
         line = text[pos:end]
-        if _OTHER_LINE_BREAKS.search(line):
+        if _LINE_BREAKS.search(line):
             return None
         parts = line.split()
         if parts and not parts[0].startswith("#"):
@@ -389,33 +386,103 @@ def _header_end(text: str) -> int | None:
     return None
 
 
-def _canonical_ends(body: str) -> np.ndarray | None:
-    """The endpoints x0, y0, x1, y1, ... of edge lines in exactly the form
-    serialize_graph writes, "e <x> <y>\n" with 1-18 ASCII digits per number
-    (so every value fits in int64); None for any other text.
+# Bytes of edge text checked and decoded at a time, cut at a line end, so
+# that every temporary array of a chunk stays in L2.
+_CHUNK = 1 << 18
 
-    The form is checked on the bytes: every line starts "e " and holds
-    exactly two spaces, both digit runs are 1-18 long, and the only bytes
-    that are not digits are the 4 per line that the form puts there.
+# The bytes of a canonical edge line that are not digits, in order, as one
+# little-endian uint32.
+_LINE_FORM = int.from_bytes(b"e  \n", "little")
+
+# _KEEP[r] keeps the last min(r, 8) of 8 ASCII digits in a little-endian
+# word, each as its value 0-9, and clears the bytes in front of them.
+_KEEP = np.array(
+    [(0x0F0F0F0F0F0F0F0F << 8 * max(8 - r, 0)) & (1 << 64) - 1 for r in range(19)],
+    dtype=np.uint64,
+)
+
+
+def _run_values(words: np.ndarray, stops: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """The numbers written as runs of 1-18 ASCII digits, run i being the
+    last runs[i] bytes of the word words[stops[i]] and of the words before.
+
+    words[s] is bytes s..s+7 of a buffer read as one little-endian uint64, so
+    a run's last 8 digits are the word's high bytes, its first digit the
+    lowest of them. With the bytes in front of the run cleared, three
+    multiply/shift/mask steps add up digit pairs, then pairs of pairs, then
+    the two halves (SWAR; Langdale and Lemire, Parsing Gigabytes of JSON per
+    Second, VLDB J. 2019). A run of more than 8 digits takes its next 8 from
+    the word 8 bytes before.
+    """
+    v = words[stops]
+    v &= _KEEP[runs]
+    v *= 10 << 8 | 1
+    v >>= 8
+    v &= 0x00FF00FF00FF00FF
+    v *= 100 << 16 | 1
+    v >>= 16
+    v &= 0x0000FFFF0000FFFF
+    v *= 10000 << 32 | 1
+    v >>= 32
+    more = np.flatnonzero(runs > 8)
+    if len(more):
+        v[more] += _run_values(words, stops[more] - 8, runs[more] - 8) * 10**8
+    return v
+
+
+def _canonical_edges(body: str, k: int, n: int) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """The endpoints xs, ys of edge lines in exactly the form serialize_graph
+    writes, "e <x> <y>\n" with 1-18 ASCII digits per number (so every value
+    fits in int64), and whether they are in range and in strictly increasing
+    key order for sizes k, n; None for any other text.
+
+    The bytes go in chunks of about _CHUNK that end at a line end. In each,
+    the bytes that are not digits must be "e", " ", " ", "\n" per line, the
+    "e" first on its line and right before a space, with 1-18 digits between
+    the spaces and between the second space and the line end. Each number is
+    then read from the 8-byte words before its stop by _run_values.
     """
     if not body.isascii() or (body and body[-1] != "\n"):
         return None
-    raw = body.encode("ascii")
-    b = np.frombuffer(raw, dtype=np.uint8)
-    nl = np.flatnonzero(b == ord("\n"))
-    sp = np.flatnonzero(b == ord(" "))
-    if len(sp) != 2 * len(nl):
-        return None
-    starts = np.concatenate(([0], nl + 1))[:-1]
-    first, second = sp[0::2], sp[1::2]
-    if not ((b[starts] == ord("e")).all() and (first == starts + 1).all()):
-        return None
-    runs = np.concatenate((second - first, nl - second)) - 1
-    if not ((runs >= 1).all() and (runs <= 18).all()):
-        return None
-    if np.count_nonzero((b < ord("0")) | (b > ord("9"))) != 4 * len(nl):
-        return None
-    return np.fromstring(raw.replace(b"e", b" "), dtype=np.int64, sep=" ")
+    # Eight bytes in front, so that the first line's numbers have words too.
+    buf = bytes(8) + body.encode("ascii")
+    b = np.frombuffer(buf, dtype=np.uint8)
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    none = np.empty(0, dtype=np.int64)
+    xs, ys = [none], [none]
+    ordered = k * n <= _INT64_MAX
+    last = -1
+    lo = 8
+    while lo < len(buf):
+        hi = buf.rfind(b"\n", lo, lo + _CHUNK) + 1 or buf.index(b"\n", lo) + 1
+        chunk = b[lo:hi]
+        marks = np.flatnonzero((chunk - ord("0")) > 9)
+        if len(marks) % 4 or not (chunk[marks].view("<u4") == _LINE_FORM).all():
+            return None
+        s1, s2, nl = marks[1::4], marks[2::4], marks[3::4]
+        # Marks increase, so the gaps from each line's start to its "e" and
+        # from the "e" to the first space are at least 1 each; these 2L gaps
+        # sum to 2L only if every one of them is 1.
+        rx, ry = s2 - s1 - 1, nl - s2 - 1
+        if (
+            s1.sum() - nl.sum() + nl[-1] + 1 != len(marks) // 2
+            or min(rx.min(), ry.min()) < 1
+            or max(rx.max(), ry.max()) > 18
+        ):
+            return None
+        # words[lo - 8 + s] is the 8 bytes before chunk offset s.
+        x = _run_values(words[lo - 8:], s2, rx).view(np.int64)
+        y = _run_values(words[lo - 8:], nl, ry).view(np.int64)
+        if ordered:
+            keys = x * n + y
+            ordered = bool(
+                x.max() < k and y.max() < n and keys[0] > last and (keys[1:] > keys[:-1]).all()
+            )
+            last = keys[-1]
+        xs.append(x)
+        ys.append(y)
+        lo = hi
+    return np.concatenate(xs), np.concatenate(ys), ordered
 
 
 def parse_graph(text: str | bytes) -> BipartiteGraph:
@@ -423,32 +490,40 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
 
     When everything after the header line is in the form serialize_graph
     writes, the edges are read in bulk: the header part goes through the
-    line loop, the edge lines through one structural check on their bytes
-    and one np.fromstring. Edges that are in range and in increasing key
-    order, as the serializer writes them, go straight to _from_keys; others
-    go through _build, which names the first bad edge in input order. Any
-    other text takes the line loop throughout. Both paths give the same
-    graph, or the same error.
+    line loop, the edge lines through _canonical_edges, which checks their
+    form on the bytes and decodes the numbers chunk by chunk. Edges that are
+    in range and in increasing key order, as the serializer writes them,
+    become the CSR arrays directly; others go through _build, which names
+    the first bad edge in input order. Any other text takes the line loop
+    throughout. Both paths give the same graph, or the same error.
     """
     if isinstance(text, bytes):
         with _utf8():
             text = text.decode("utf-8")
     end = _header_end(text)
-    ends = None if end is None else _canonical_ends(text[end:])
-    if ends is None:
+    if end is None:
         return _parse_lines(text)
     k, n, _, _, _ = _scan_lines(text[:end])
-    xs, ys = ends[0::2], ends[1::2]
-    if k * n <= _INT64_MAX and (xs < k).all() and (ys < n).all():
-        keys = xs * n + ys
-        if (keys[1:] > keys[:-1]).all():
-            return BipartiteGraph._from_keys(k, n, keys)
+    edges = _canonical_edges(text[end:], k, n)
+    if edges is None:
+        return _parse_lines(text)
+    xs, ys, ordered = edges
+    if ordered:
+        # The header gave k, n >= 1 and k*n fits in int64, and the keys
+        # x*n + y are strictly increasing: what _from_keys would check.
+        return BipartiteGraph(k, n, np.searchsorted(xs, np.arange(k + 1)), ys)
     first = text.count("\n", 0, end) + 1
     return _parsed_graph(k, n, xs, ys, xs, ys, range(first, first + len(xs)))
 
 
 def serialize_graph(g: BipartiteGraph, comments: Iterable[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
+    """The graph file text, with one "# " line per comment. A comment with a
+    line break in it would not read back, so it is a ValueError."""
+    lines = []
+    for c in comments:
+        if _LINE_BREAKS.search(c):
+            raise ValueError(f"comment {c!r} contains a line break")
+        lines.append(f"# {c}")
     lines.append(f"p bipartite {g.k} {g.n}")
     pairs = np.column_stack(g.edge_arrays()).ravel().tolist()
     return "\n".join(lines) + "\n" + ("e %d %d\n" * g.edge_count) % tuple(pairs)
@@ -459,8 +534,9 @@ def load_graph(path: str) -> BipartiteGraph:
 
 
 def save_graph(g: BipartiteGraph, path: str, comments: Iterable[str] = ()) -> None:
+    text = serialize_graph(g, comments)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_graph(g, comments))
+        fh.write(text)
 
 
 def _check_side(g: BipartiteGraph, s: VertexSet, side: Side) -> None:

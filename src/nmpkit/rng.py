@@ -194,8 +194,3 @@ def _u64_blocks(seed: int, count: int, size: int) -> Iterator[tuple[int, np.ndar
         m = min(size, count - start)
         block = np.add(steps[:m], np.uint64((seed + start * _GOLDEN) & _MASK), out=z[:m])
         yield start, _mix64_array(block, shifted[:m])
-
-
-def uniform_stream(seed: int, count: int) -> np.ndarray:
-    """First `count` uniform doubles in [0, 1) of SplitMix64(seed)."""
-    return (u64_stream(seed, count) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)

@@ -1,9 +1,14 @@
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import settings
 
 from nmpkit import BipartiteGraph, TreeCopy, TreeFactor, induced_subgraph, left_set, right_set
+from nmpkit.rng import u64_stream
 
 settings.register_profile("suite", deadline=None)
+# A deeper search for one part of the suite, chosen with
+# --hypothesis-profile=deep.
+settings.register_profile("deep", deadline=None, max_examples=2000)
 settings.load_profile("suite")
 
 
@@ -18,6 +23,12 @@ def bipartite_graphs(draw, max_k=8, max_n=10, min_k=1, min_n=1):
         )
     )
     return BipartiteGraph.from_edges(k, n, sorted(edges))
+
+
+def uniform_stream(seed: int, count: int) -> np.ndarray:
+    """First `count` uniform doubles in [0, 1) of SplitMix64(seed): the 53
+    high bits of each output, as SplitMix64.random() takes them."""
+    return (u64_stream(seed, count) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
 def complete_graph(k: int, n: int) -> BipartiteGraph:

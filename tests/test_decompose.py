@@ -6,6 +6,7 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,7 +180,35 @@ def test_extract_thrill_matches_the_loop_reference(g, q, side, rnd):
     assert b_side.members == tuple(leftover)
 
 
+@given(bipartite_graphs(max_k=10, max_n=8), st.integers(1, 3), st.randoms(use_true_random=False))
+@settings(max_examples=80)
+def test_y_side_thrill_is_the_x_side_thrill_of_the_transpose(g, q, rnd):
+    count = min(g.n, g.k // q)
+    if count == 0:
+        return
+    anchors = sorted(rnd.sample(range(g.n), count))
+    pool = sorted(rnd.sample(range(g.k), q * count))
+    y = extract_thrill(g, left_set(pool), right_set(anchors), q, Side.RIGHT)
+    x = extract_thrill(g.swap_sides(), left_set(anchors), right_set(pool), q, Side.LEFT)
+    assert [(f.anchor, f.leaves) for f in y.thrill.fans] == [(f.anchor, f.leaves) for f in x.thrill.fans]
+    assert (y.A.members, y.B.members) == (x.B.members, x.A.members)
+
+
 # ------------------------------------------------- euclid_factor_decompose
+
+
+def test_decomposition_transposes_the_graph_once():
+    # Four Y-side stages, one with leftovers of unequal sizes (2 and 1).
+    g = gen_gnp(34, 55, 0.3, 1)
+    real = BipartiteGraph.swap_sides
+    with mock.patch.object(BipartiteGraph, "swap_sides", autospec=True, side_effect=real) as swap:
+        tr = euclid_factor_decompose(g, 0.1)
+    assert [(s.a_size, s.b_size) for s in tr.stages if s.anchor_side == "Y"] == [
+        (2, 1), (0, 0), (0, 0), (0, 0)
+    ]
+    assert [c.args[0] for c in swap.call_args_list] == [g]
+    digest = hashlib.sha256(repr((tr.stages, tr.D_X, tr.D_Y, tr.factor)).encode()).hexdigest()
+    assert digest == "59ef8595711265e4e0d568df277150b8ff20a433a474537f10de34da9fa9fa8d"
 
 
 def test_decompose_single_stage_when_k_divides_n():

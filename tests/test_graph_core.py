@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -26,6 +27,7 @@ from nmpkit import (
     neighborhood,
     parse_graph,
     right_set,
+    save_graph,
     serialize_graph,
 )
 
@@ -79,6 +81,34 @@ def test_parse_errors(text, fragment):
 @given(bipartite_graphs())
 def test_serialize_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("comment", ["a\nb", "x\re 1 0", "u\u2028v", *(f"c{ch}d" for ch in LINE_BREAKS)])
+def test_a_comment_with_a_line_break_is_rejected(comment, tmp_path):
+    # Written out, it would not read back: "a\nb" as an unknown record
+    # "b", "x\re 1 0" as an edge before the header.
+    assert len(comment.splitlines()) == 2
+    g = complete_graph(2, 3)
+    with pytest.raises(ValueError, match=f"^comment {re.escape(repr(comment))} contains a line break$"):
+        serialize_graph(g, ["fine", comment])
+    path = tmp_path / "g.txt"
+    with pytest.raises(ValueError, match="line break"):
+        save_graph(g, str(path), [comment])
+    assert not path.exists()
+
+
+def test_line_breaks_are_every_separator_of_splitlines():
+    breaks = {chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert breaks == set(LINE_BREAKS)
+
+
+@given(st.lists(st.text(st.characters(exclude_characters=LINE_BREAKS, exclude_categories=("Cs",))), max_size=3))
+def test_comments_without_line_breaks_round_trip(comments):
+    g = complete_graph(2, 3)
+    assert parse_graph(serialize_graph(g, comments)) == g
 
 
 @given(bipartite_graphs(), st.randoms(use_true_random=False))
@@ -237,6 +267,93 @@ def test_bulk_parse_of_a_benchmark_sized_file_warns_nothing():
         warnings.simplefilter("error")
         assert parse_graph(text) == g
         assert parse_graph(text.encode()) == g
+
+
+def test_bulk_parse_of_a_benchmark_sized_file_takes_no_slow_path():
+    g = gen_gnp(1000, 1100, 0.3, 1)
+    text = serialize_graph(g, ["gnp k=1000 n=1100 p=0.3 seed=1 algo=splitmix64"])
+    assert len(text) > 4 * graph._CHUNK  # several chunks
+    with mock.patch.object(
+        np, "fromstring", side_effect=AssertionError("np.fromstring used")
+    ), mock.patch.object(graph, "_parse_lines", side_effect=AssertionError("line loop used")):
+        assert parse_graph(text) == g
+
+
+def chunk_ends(body, size):
+    """Offsets just past each chunk of the edge text, by the parser's rule: a
+    chunk ends at the last line end within `size` bytes of its start, or at
+    the first one after them."""
+    ends, lo = [], 0
+    while lo < len(body):
+        lo = body.rfind("\n", lo, lo + size) + 1 or body.find("\n", lo) + 1 or len(body)
+        ends.append(lo)
+    return ends
+
+
+@pytest.mark.parametrize("place", ["first", "last"])
+@pytest.mark.parametrize("corruption", [*CANONICAL_CORRUPTIONS, *OTHER_CORRUPTIONS])
+def test_bulk_parse_matches_the_line_loop_across_chunks(corruption, place):
+    # The largest chunk size that puts the first corrupted line first or last
+    # in its chunk, with at least three chunks (or one per line, if fewer).
+    g, comments, at = complete_graph(4, 5), ["c"], 8
+    lines = serialize_graph(g).splitlines(keepends=True)[1:]
+    bad = {**CANONICAL_CORRUPTIONS, **OTHER_CORRUPTIONS}[corruption](lines, at, g.k, g.n)
+    d = next(i for i, (a, b) in enumerate(zip(lines, bad)) if a != b)
+    start = len("".join(bad[:d]))
+    edge = start if place == "first" else start + len(bad[d])
+    body = "".join(bad)
+
+    def placed(size):
+        ends = chunk_ends(body, size)
+        return edge in [0, *ends] and len(ends) >= min(3, len(bad))
+
+    size = max(filter(placed, range(1, len(body) + 1)))
+    with mock.patch.object(graph, "_CHUNK", size):
+        test_bulk_parse_matches_the_line_loop.hypothesis.inner_test(g, comments, corruption, at)
+
+
+@given(
+    bipartite_graphs(),
+    st.sampled_from([None, *CANONICAL_CORRUPTIONS, *OTHER_CORRUPTIONS]),
+    st.integers(0, 10**6),
+    st.integers(1, 64),
+)
+def test_bulk_parse_matches_the_line_loop_in_small_chunks(g, corruption, at, size):
+    with mock.patch.object(graph, "_CHUNK", size):
+        test_bulk_parse_matches_the_line_loop.hypothesis.inner_test(g, [], corruption, at)
+
+
+DIGIT_RUNS = st.text("0123456789", min_size=1, max_size=18)
+
+
+@given(
+    st.lists(st.tuples(DIGIT_RUNS, DIGIT_RUNS), max_size=12),
+    st.booleans(),
+    st.integers(1, 10**18),
+    st.integers(1, 10**18),
+    st.integers(1, 64),
+)
+@example([("1", "22"), ("333", "4444")], True, 334, 10**4, 7)
+@example([("9" * 18, "0" * 17 + "1"), ("0" * 9 + "12345678", "123456789")], False, 1, 1, 50)
+@example([("1" + "0" * r, "0" * r + "7") for r in range(18)], True, 10**18, 9, 30)
+def test_bulk_parse_decodes_digit_runs_of_every_length(tokens, ascending, k, n, size):
+    # Runs of 1-18 digits, leading zeros and all, each decode to int(token),
+    # and the flag says whether they are in range and in increasing key order.
+    if ascending:
+        tokens = sorted(tokens, key=lambda t: (int(t[0]), int(t[1])))
+    body = "".join(f"e {x} {y}\n" for x, y in tokens)
+    with mock.patch.object(graph, "_CHUNK", size):
+        xs, ys, ordered = graph._canonical_edges(body, k, n)
+    want_x = [int(x) for x, _ in tokens]
+    want_y = [int(y) for _, y in tokens]
+    assert (xs.tolist(), ys.tolist()) == (want_x, want_y)
+    keys = [x * n + y for x, y in zip(want_x, want_y)]
+    assert ordered is (
+        k * n < 2**63
+        and all(x < k for x in want_x)
+        and all(y < n for y in want_y)
+        and all(a < b for a, b in zip(keys, keys[1:]))
+    )
 
 
 @given(bipartite_graphs())

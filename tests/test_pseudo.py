@@ -25,9 +25,9 @@ from nmpkit import (
 )
 from nmpkit import pseudo
 from nmpkit.pseudo import _codegree_scan, _incidence, _is_prime
-from nmpkit.rng import SplitMix64, derive_seed, u64_stream, uniform_stream
+from nmpkit.rng import SplitMix64, derive_seed, u64_stream
 
-from conftest import bipartite_graphs, complete_graph
+from conftest import bipartite_graphs, complete_graph, uniform_stream
 
 
 def codegree_oracle(g, u, v):

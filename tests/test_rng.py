@@ -12,8 +12,9 @@ from nmpkit.rng import (
     derive_seed,
     mix64,
     u64_stream,
-    uniform_stream,
 )
+
+from conftest import uniform_stream
 
 
 def test_mix64_reference_values():
