@@ -10,10 +10,10 @@ minlength=g.n). Every graph ends in one private constructor, _from_keys,
 which takes the edge keys x*n + y strictly increasing. _build range-checks
 edges given in any order, rejects repeats and sorts them into keys; callers
 whose keys are sorted and unique by construction (induced subgraphs,
-G(k, n, p)) skip that sort. The one exception is parse_graph's bulk path,
-which checks the same precondition as it decodes each x and y, and builds
-the rows from them. The arrays are read-only, so graphs are immutable after
-construction.
+from_matrix, the generators) skip that sort. The one exception is
+parse_graph's bulk path, which checks the same precondition as it decodes
+each x and y, and builds the rows from them. The arrays are read-only, so
+graphs are immutable after construction.
 
 File format (line-oriented UTF-8):
     # optional comment lines
@@ -203,10 +203,14 @@ class BipartiteGraph:
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "BipartiteGraph":
-        """Build from a boolean k x n adjacency matrix."""
+        """Build from a boolean k x n adjacency matrix.
+
+        np.nonzero lists the entries in row-major order, so their keys are
+        already strictly increasing and go to _from_keys without a sort.
+        """
         k, n = np.shape(mat)
         xs, ys = np.nonzero(mat)
-        return cls._build(k, n, xs, ys)
+        return cls._from_keys(k, n, xs * n + ys)
 
     @property
     def edge_count(self) -> int:
@@ -371,12 +375,12 @@ def _parse_lines(text: str) -> BipartiteGraph:
 _LINE_BREAKS = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
-def _header_end(text: str) -> int | None:
-    """Offset just past the first record line, or None if a line before it
-    has a line break other than a plain newline."""
+def _header_end(data: bytes) -> int | None:
+    """Offset in the UTF-8 text data just past the first record line, or None
+    if a line before it has a line break other than a plain newline."""
     pos = 0
-    while (end := text.find("\n", pos)) >= 0:
-        line = text[pos:end]
+    while (end := data.find(b"\n", pos)) >= 0:
+        line = data[pos:end].decode("utf-8", "surrogatepass")
         if _LINE_BREAKS.search(line):
             return None
         parts = line.split()
@@ -430,31 +434,39 @@ def _run_values(words: np.ndarray, stops: np.ndarray, runs: np.ndarray) -> np.nd
     return v
 
 
-def _canonical_edges(body: str, k: int, n: int) -> tuple[np.ndarray, np.ndarray, bool] | None:
-    """The endpoints xs, ys of edge lines in exactly the form serialize_graph
-    writes, "e <x> <y>\n" with 1-18 ASCII digits per number (so every value
-    fits in int64), and whether they are in range and in strictly increasing
-    key order for sizes k, n; None for any other text.
+def _canonical_edges(
+    data: bytes | str, k: int, n: int, start: int = 0
+) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """The endpoints xs, ys of the edge lines data[start:] in exactly the
+    form serialize_graph writes, "e <x> <y>\n" with 1-18 ASCII digits per
+    number (so every value fits in int64), and whether they are in range and
+    in strictly increasing key order for sizes k, n; None for any other text.
 
     The bytes go in chunks of about _CHUNK that end at a line end. In each,
     the bytes that are not digits must be "e", " ", " ", "\n" per line, the
     "e" first on its line and right before a space, with 1-18 digits between
-    the spaces and between the second space and the line end. Each number is
-    then read from the 8-byte words before its stop by _run_values.
+    the spaces and between the second space and the line end; so a byte
+    outside ASCII fails the form. Each number is then read from the 8-byte
+    words before its stop by _run_values, in place in data. The first line's
+    words reach up to 5 bytes in front of start, where parse_graph's header
+    line (16 bytes at least) lies and _KEEP clears them; edge text with
+    fewer than 8 bytes in front is copied behind zero bytes.
     """
-    if not body.isascii() or (body and body[-1] != "\n"):
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    if start < 8:
+        data, start = bytes(8 - start) + data, 8
+    if len(data) > start and data[-1] != ord("\n"):
         return None
-    # Eight bytes in front, so that the first line's numbers have words too.
-    buf = bytes(8) + body.encode("ascii")
-    b = np.frombuffer(buf, dtype=np.uint8)
-    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    b = np.frombuffer(data, dtype=np.uint8)
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
     none = np.empty(0, dtype=np.int64)
     xs, ys = [none], [none]
     ordered = k * n <= _INT64_MAX
     last = -1
-    lo = 8
-    while lo < len(buf):
-        hi = buf.rfind(b"\n", lo, lo + _CHUNK) + 1 or buf.index(b"\n", lo) + 1
+    lo = start
+    while lo < len(data):
+        hi = data.rfind(b"\n", lo, lo + _CHUNK) + 1 or data.index(b"\n", lo) + 1
         chunk = b[lo:hi]
         marks = np.flatnonzero((chunk - ord("0")) > 9)
         if len(marks) % 4 or not (chunk[marks].view("<u4") == _LINE_FORM).all():
@@ -496,24 +508,40 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
     become the CSR arrays directly; others go through _build, which names
     the first bad edge in input order. Any other text takes the line loop
     throughout. Both paths give the same graph, or the same error.
+
+    The bulk path reads one UTF-8 buffer in place: a str is encoded once,
+    and bytes are used as they are. Bytes that are not all ASCII are decoded
+    first, so that text which is not UTF-8 fails before anything else.
     """
-    if isinstance(text, bytes):
-        with _utf8():
-            text = text.decode("utf-8")
-    end = _header_end(text)
-    if end is None:
-        return _parse_lines(text)
-    k, n, _, _, _ = _scan_lines(text[:end])
-    edges = _canonical_edges(text[end:], k, n)
+    if isinstance(text, str):
+        # surrogatepass: the lone surrogates a str may hold round-trip
+        # through the header's decode instead of raising.
+        data = text.encode("utf-8", "surrogatepass")
+    else:
+        data = text
+        if not data.isascii():
+            with _utf8():
+                text = data.decode("utf-8")
+    end = _header_end(data)
+    edges = None
+    if end is not None:
+        k, n, _, _, _ = _scan_lines(data[:end].decode("utf-8", "surrogatepass"))
+        edges = _canonical_edges(data, k, n, end)
     if edges is None:
-        return _parse_lines(text)
+        return _parse_lines(text if isinstance(text, str) else text.decode("ascii"))
     xs, ys, ordered = edges
     if ordered:
         # The header gave k, n >= 1 and k*n fits in int64, and the keys
         # x*n + y are strictly increasing: what _from_keys would check.
         return BipartiteGraph(k, n, np.searchsorted(xs, np.arange(k + 1)), ys)
-    first = text.count("\n", 0, end) + 1
+    first = data.count(b"\n", 0, end) + 1
     return _parsed_graph(k, n, xs, ys, xs, ys, range(first, first + len(xs)))
+
+
+# Edges formatted at a time by serialize_graph. Formatting a block, with its
+# tuple of 2^17 Python ints, peaks at about 6.5 MB; one tuple for every edge
+# of a graph of a few 100k edges would take tens of MB.
+_SERIAL_EDGES = 1 << 16
 
 
 def serialize_graph(g: BipartiteGraph, comments: Iterable[str] = ()) -> str:
@@ -525,8 +553,12 @@ def serialize_graph(g: BipartiteGraph, comments: Iterable[str] = ()) -> str:
             raise ValueError(f"comment {c!r} contains a line break")
         lines.append(f"# {c}")
     lines.append(f"p bipartite {g.k} {g.n}")
-    pairs = np.column_stack(g.edge_arrays()).ravel().tolist()
-    return "\n".join(lines) + "\n" + ("e %d %d\n" * g.edge_count) % tuple(pairs)
+    parts = ["\n".join(lines) + "\n"]
+    pairs = np.column_stack(g.edge_arrays())
+    for s in range(0, g.edge_count, _SERIAL_EDGES):
+        block = pairs[s:s + _SERIAL_EDGES]
+        parts.append(("e %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def load_graph(path: str) -> BipartiteGraph:

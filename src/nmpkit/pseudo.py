@@ -288,6 +288,26 @@ def gen_gnp(k: int, n: int, p: float, seed: int) -> BipartiteGraph:
     return BipartiteGraph._from_keys(k, n, keys)
 
 
+# Rows per block of gen_sum_cayley's and gen_pg2's incidence tests. A block's
+# temporaries hold _GEN_ROWS x n entries, so a generator's peak memory is
+# about that plus its edge keys, not the dense k x n test.
+_GEN_ROWS = 256
+
+
+def _graph_by_row_blocks(k: int, n: int, block) -> BipartiteGraph:
+    """The k x n graph whose rows s, s+1, ... are the True entries of the
+    boolean array block(s), which has rows s up to s + _GEN_ROWS (or k).
+
+    np.nonzero lists each block's entries in row-major order, so the keys
+    (row + s)*n + col come out strictly increasing, as _from_keys takes them.
+    """
+    keys = []
+    for s in range(0, k, _GEN_ROWS):
+        rows, cols = np.nonzero(block(s))
+        keys.append((rows + s) * n + cols)
+    return BipartiteGraph._from_keys(k, n, np.concatenate(keys))
+
+
 def _is_prime(q: int) -> bool:
     if q < 2:
         return False
@@ -320,7 +340,8 @@ def gen_sum_cayley(
     """Bipartite sum-Cayley graph: (x, y) is an edge iff x + y is in H.
 
     H is the unique multiplicative subgroup of order (q-1)/d, i.e. the set
-    of d-th power residues mod the prime q.
+    of d-th power residues mod the prime q. The sums are tested for
+    _GEN_ROWS left vertices at a time, so no |X| x |Y| array is built.
     """
     if not _is_prime(q):
         raise ValueError(f"q = {q} is not prime")
@@ -344,9 +365,15 @@ def gen_sum_cayley(
     h = sorted({pow(v, d, q) for v in range(1, q)})
     in_h = np.zeros(q, dtype=bool)
     in_h[h] = True
-    sums = np.add.outer(np.array(xs), np.array(ys)) % q
+    xa, ya = np.array(xs), np.array(ys)
+
+    def block(s: int) -> np.ndarray:
+        sums = np.add.outer(xa[s:s + _GEN_ROWS], ya)
+        sums %= q
+        return in_h[sums]
+
     return SumCayleyGraph(
-        graph=BipartiteGraph.from_matrix(in_h[sums]),
+        graph=_graph_by_row_blocks(len(xs), len(ys), block),
         q=q,
         d=d,
         h=tuple(h),
@@ -359,7 +386,11 @@ def gen_pg2(q: int) -> BipartiteGraph:
     """Point-line incidence graph of the projective plane PG(2, q), q prime.
 
     Both sides have q^2 + q + 1 vertices; every degree is q + 1 and every
-    pair of distinct points lies on exactly one common line.
+    pair of distinct points lies on exactly one common line. Point u lies on
+    line v when their representatives have dot product 0 mod q; the products
+    are taken for _GEN_ROWS points at a time, so no point-by-line array is
+    built. At q = 101 (1.05M edges) tracemalloc's peak is about 32 MB,
+    against 1.6 GB for the whole product.
     """
     if not _is_prime(q):
         raise ValueError(f"q = {q} is not prime")
@@ -367,8 +398,13 @@ def gen_pg2(q: int) -> BipartiteGraph:
     reps += [(0, 1, c) for c in range(q)]
     reps += [(1, b, c) for b in range(q) for c in range(q)]
     pts = np.array(reps, dtype=np.int64)
-    incidence = (pts @ pts.T) % q == 0
-    return BipartiteGraph.from_matrix(incidence)
+
+    def block(s: int) -> np.ndarray:
+        dots = pts[s:s + _GEN_ROWS] @ pts.T
+        dots %= q
+        return dots == 0
+
+    return _graph_by_row_blocks(len(pts), len(pts), block)
 
 
 @dataclass(frozen=True)

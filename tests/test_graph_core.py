@@ -83,6 +83,33 @@ def test_serialize_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
 
 
+def serialize_at_once(g, comments=()):
+    """The graph file text with every edge formatted by one % operation."""
+    head = "".join(f"# {c}\n" for c in comments) + f"p bipartite {g.k} {g.n}\n"
+    pairs = np.column_stack(g.edge_arrays()).ravel().tolist()
+    return head + ("e %d %d\n" * g.edge_count) % tuple(pairs)
+
+
+# No edge, exactly one block of 2^16 edges, and one block plus one edge.
+@pytest.mark.parametrize("k, n, edges", [(3, 4, 0), (256, 256, 1 << 16), (257, 256, (1 << 16) + 1)])
+def test_serialize_in_blocks_writes_the_one_shot_bytes(k, n, edges):
+    assert graph._SERIAL_EDGES == 1 << 16
+    g = BipartiteGraph._from_keys(k, n, np.arange(edges))
+    assert serialize_graph(g, ["c"]) == serialize_at_once(g, ["c"])
+
+
+@given(bipartite_graphs(), st.integers(1, 5))
+def test_serialize_in_small_blocks_writes_the_one_shot_bytes(g, size):
+    with mock.patch.object(graph, "_SERIAL_EDGES", size):
+        assert serialize_graph(g) == serialize_at_once(g)
+
+
+@given(bipartite_graphs())
+def test_from_matrix_takes_no_sort(g):
+    with mock.patch.object(BipartiteGraph, "_build", side_effect=AssertionError("sorted")):
+        assert BipartiteGraph.from_matrix(g.matrix()) == g
+
+
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
@@ -376,6 +403,56 @@ def test_bulk_parse_names_the_line_of_a_bad_edge():
         parse_graph(text)
     with pytest.raises(FormatError, match=r"^line 5: left index 7 out of range, k=2$"):
         parse_graph(text.replace("e 1 2", "e 7 2"))
+
+
+def parse_decoded_outcome(data):
+    """What parsing the bytes data gives when they are decoded first and go
+    through the line loop."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"FormatError: not valid UTF-8 text ({exc.reason})"
+    return parse_outcome(graph._parse_lines, text)
+
+
+@given(
+    bipartite_graphs(),
+    st.lists(st.text(st.characters(exclude_characters=LINE_BREAKS, exclude_categories=("Cs",)),
+                     max_size=4), max_size=2),
+    st.sampled_from([None, *CANONICAL_CORRUPTIONS, *OTHER_CORRUPTIONS]),
+    st.sampled_from([None, b"\xff", b"\xe2\x82", b"\xed\xa0\x80", "é".encode(), b"\n"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+@example(complete_graph(2, 3), [], None, b"\xff", 0, 0)
+@example(complete_graph(2, 3), [], None, None, 0, 0)
+def test_bulk_parse_of_bytes_matches_the_decoded_text(g, comments, corruption, junk, at, where):
+    # Bytes go to the bulk path undecoded; the graph, or the error with its
+    # line number and its UTF-8 reason, is what decoding them first gives.
+    text = serialize_graph(g, comments)
+    head, _, body = text.rpartition(f"p bipartite {g.k} {g.n}\n")
+    lines = body.splitlines(keepends=True)
+    if corruption is not None and lines:
+        corrupt = {**CANONICAL_CORRUPTIONS, **OTHER_CORRUPTIONS}[corruption]
+        lines = corrupt(lines, at % len(lines), g.k, g.n)
+    data = (head + f"p bipartite {g.k} {g.n}\n" + "".join(lines)).encode()
+    if junk is not None:
+        where %= len(data) + 1
+        data = data[:where] + junk + data[where:]
+    with mock.patch.object(graph, "_parse_lines", wraps=graph._parse_lines) as line_loop:
+        got = parse_outcome(parse_graph, data)
+    assert got == parse_decoded_outcome(data)
+    if corruption is None and junk is None:
+        assert not line_loop.called
+
+
+def test_bulk_parse_of_a_str_keeps_lone_surrogates():
+    # A str may hold a lone surrogate, which strict UTF-8 cannot encode.
+    text = "# \ud800 \udfff\np bipartite 2 3\ne 0 1\ne 1 2\n"
+    with mock.patch.object(graph, "_parse_lines", side_effect=AssertionError("line loop used")):
+        assert parse_graph(text) == BipartiteGraph.from_edges(2, 3, [(0, 1), (1, 2)])
+    with pytest.raises(FormatError, match=r"^line 4: left index 2 out of range, k=2$"):
+        parse_graph(text.replace("e 1 2", "e 2 2"))
 
 
 @given(bipartite_graphs())

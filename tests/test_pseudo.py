@@ -182,6 +182,53 @@ def test_pg2_rejects_non_prime():
         gen_pg2(9)
 
 
+def pg2_dense(q):
+    """PG(2, q) from the whole point-by-line product, through from_edges."""
+    reps = [(0, 0, 1)] + [(0, 1, c) for c in range(q)]
+    reps += [(1, b, c) for b in range(q) for c in range(q)]
+    pts = np.array(reps, dtype=np.int64)
+    inc = (pts @ pts.T) % q == 0
+    return BipartiteGraph.from_edges(len(pts), len(pts), np.argwhere(inc))
+
+
+def sum_cayley_dense(q, d, xs, ys):
+    """The sum-Cayley graph from the whole |X| x |Y| table of sums."""
+    in_h = np.zeros(q, dtype=bool)
+    in_h[[pow(v, d, q) for v in range(1, q)]] = True
+    inc = in_h[np.add.outer(np.array(xs), np.array(ys)) % q]
+    return BipartiteGraph.from_edges(len(xs), len(ys), np.argwhere(inc))
+
+
+# From q = 17 on, q^2 + q + 1 > 256 points span several row blocks.
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_pg2_equals_the_dense_construction(q):
+    assert gen_pg2(q) == pg2_dense(q)
+
+
+SUM_CAYLEY_CASES = [
+    (13, 2),
+    (5, 4),
+    (13, 2, [0, 1, 2], "all"),
+    (263, 2),
+    (1009, 2, "all", list(range(0, 1009, 3))),
+]
+
+
+@pytest.mark.parametrize("args", SUM_CAYLEY_CASES)
+def test_sum_cayley_equals_the_dense_construction(args):
+    res = gen_sum_cayley(*args)
+    assert res.graph == sum_cayley_dense(res.q, res.d, res.x_elements, res.y_elements)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_generators_equal_the_dense_construction_in_any_row_blocks(rows):
+    # Blocks that split the rows unevenly, with a short last block.
+    with mock.patch.object(pseudo, "_GEN_ROWS", rows):
+        assert gen_pg2(5) == pg2_dense(5)
+        res = gen_sum_cayley(13, 2, [1, 4, 5, 9, 12], "all")
+        assert res.graph == sum_cayley_dense(13, 2, res.x_elements, res.y_elements)
+
+
 # ------------------------------------------------------------- verification
 
 
