@@ -27,6 +27,7 @@ _build's sort; any other valid text parses to the same graph line by line.
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -547,18 +548,26 @@ _SERIAL_EDGES = 1 << 16
 def serialize_graph(g: BipartiteGraph, comments: Iterable[str] = ()) -> str:
     """The graph file text, with one "# " line per comment. A comment with a
     line break in it would not read back, so it is a ValueError."""
+    return "".join([_serial_header(g, comments), *_serial_edges(g)])
+
+
+def _serial_header(g: BipartiteGraph, comments: Iterable[str]) -> str:
+    """The comment lines and the "p bipartite" line of g's file text."""
     lines = []
     for c in comments:
         if _LINE_BREAKS.search(c):
             raise ValueError(f"comment {c!r} contains a line break")
         lines.append(f"# {c}")
     lines.append(f"p bipartite {g.k} {g.n}")
-    parts = ["\n".join(lines) + "\n"]
+    return "\n".join(lines) + "\n"
+
+
+def _serial_edges(g: BipartiteGraph) -> Iterator[str]:
+    """The edge lines of g's file text, _SERIAL_EDGES edges per part."""
     pairs = np.column_stack(g.edge_arrays())
     for s in range(0, g.edge_count, _SERIAL_EDGES):
         block = pairs[s:s + _SERIAL_EDGES]
-        parts.append(("e %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        yield ("e %d %d\n" * len(block)) % tuple(block.ravel().tolist())
 
 
 def load_graph(path: str) -> BipartiteGraph:
@@ -566,9 +575,24 @@ def load_graph(path: str) -> BipartiteGraph:
 
 
 def save_graph(g: BipartiteGraph, path: str, comments: Iterable[str] = ()) -> None:
-    text = serialize_graph(g, comments)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write serialize_graph(g, comments) to path, one block of edges at a
+    time, so the whole text is never held at once. A regular file (or a new
+    one) is written beside itself and moved onto path once complete, so an
+    error part-way leaves the old file whole; a device or a pipe is written
+    in place. A bad comment raises before any file is opened."""
+    header = _serial_header(g, comments)
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    out = target if in_place else f"{target}.{os.getpid()}.part"
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(header)
+            fh.writelines(_serial_edges(g))
+        if not in_place:
+            os.replace(out, target)
+    finally:
+        if not in_place and os.path.exists(out):
+            os.remove(out)
 
 
 def _check_side(g: BipartiteGraph, s: VertexSet, side: Side) -> None:

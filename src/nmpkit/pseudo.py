@@ -17,7 +17,9 @@ lists, in integers: one stable radix argsort of the right ends gives those
 lists, its inverse gives each block of left vertices its positions in them
 as one slice, and each block's counts fit in L2. The mixing audit counts
 e(A, B) on the edge list, 32 samples per pass, with one bit per sample in a
-uint32 word.
+uint32 word. On large enough graphs, the pair count's blocks of lefts and
+the audit's blocks of samples run on threads, one per usable CPU, started
+and joined in the call.
 
 Generators: seeded G(k, n, p), sum-Cayley graphs over a prime field, and
 point-line incidences of the projective plane PG(2, q). A sampled mixing
@@ -31,6 +33,7 @@ pseudorandom with explicitly degraded parameters.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +48,7 @@ from .graph import (
     left_set,
     right_set,
 )
+from ._threads import run_blocks
 from .rng import _GOLDEN, _MASK, SplitMix64, _sample_masks, _seed64, _u64_blocks, derive_seed
 
 
@@ -132,10 +136,13 @@ def _pair_scan(g: BipartiteGraph, d: np.ndarray | None = None) -> tuple[int, np.
     lefts [s, e) find theirs through inv[indptr[s]:indptr[e]], with no search
     over all edges. Each block's (u, v) pairs are keys (u - s)*k + v, counted
     by np.bincount in at most max(_PAIR_BINS, k) counts, which stay in L2.
-    The work is integer, in one thread, and grows with the number of pairs,
-    sum over y of C(deg y, 2), not with k*k*n. On a 2-vCPU VM with 2 MB of
-    L2 per core, best of 11, PG(2, 47) takes 32 ms, against 55 ms when each
+    The work is integer and grows with the number of pairs, sum over y of
+    C(deg y, 2), not with k*k*n. On a 2-vCPU VM with 2 MB of L2 per core,
+    best of 11, PG(2, 47) took 32 ms in one thread, against 55 ms when each
     block searched all E entries for its lefts and counted in 2^20 bins.
+    From _threads._MIN_WORK pairs up, the blocks run on every usable CPU
+    (_threads.run_blocks), each writing only its own rows of row_max; the
+    arrays they share are built first.
     """
     k, n = g.k, g.n
     if d is None:
@@ -148,7 +155,8 @@ def _pair_scan(g: BipartiteGraph, d: np.ndarray | None = None) -> tuple[int, np.
     rest = np.cumsum(d)[g.indices] - inv
     rows = max(1, _PAIR_BINS // k)
     row_max = np.zeros(k, dtype=np.int64)
-    for s in range(0, k - 1, rows):
+
+    def count(s: int) -> None:
         e = min(s + rows, k - 1)
         a, b = g.indptr[s], g.indptr[e]
         lens = rest[a:b]
@@ -156,6 +164,8 @@ def _pair_scan(g: BipartiteGraph, d: np.ndarray | None = None) -> tuple[int, np.
         keys += np.repeat((xs[a:b] - s) * k, lens)
         counts = np.bincount(keys, minlength=(e - s) * k)
         row_max[s:e] = counts.reshape(e - s, k).max(axis=1)
+
+    run_blocks(count, range(0, k - 1, rows), int(rest.sum()))  # work: the pairs
     return int(row_max.max()) if k >= 2 else 0, row_max
 
 
@@ -447,22 +457,35 @@ def _mixing_check(
     h_size: int | None,
     q: int | None,
 ) -> tuple[bool, float, float]:
-    """mixing_deviation given e(A, B) = e, |A| = asz, |B| = bsz."""
+    """mixing_deviation given e(A, B) = e, |A| = asz, |B| = bsz.
+
+    The rationals are kept as integer numerators over integer denominators:
+    with p = P/Q and eps = En/Ed, the thomason deviation is (e*Q - P*a*b)/Q
+    and its squared bound P*n*a*b*(Q*Ed + En*P*a) / (Q*Q*Ed), so the
+    comparison cross-multiplies by Q*Q*Ed > 0 (alon_bourgain: by q*q). Each
+    float is one int / int division, which Python rounds correctly, as
+    float() of the reduced Fraction is; so the floats are the same either
+    way, with no Fraction built per sample.
+    """
     if form == "thomason":
         if params is None:
             raise ValueError("thomason form needs params")
-        dev = Fraction(e) - params.p * asz * bsz
-        bound_sq = params.p * n * asz * bsz * (1 + params.eps * params.p * asz)
-        holds = dev * dev <= bound_sq
+        p_num, p_den = params.p.numerator, params.p.denominator
+        e_num, e_den = params.eps.numerator, params.eps.denominator
+        dev_num, den = e * p_den - p_num * asz * bsz, p_den
+        bound_num = p_num * n * asz * bsz * (p_den * e_den + e_num * p_num * asz)
+        bound_den = p_den * p_den * e_den
+        holds = dev_num * dev_num * e_den <= bound_num
     elif form == "alon_bourgain":
         if h_size is None or q is None:
             raise ValueError("alon_bourgain form needs h_size and q")
-        dev = Fraction(e) - Fraction(asz * bsz * h_size, q)
-        bound_sq = Fraction(q * asz * bsz)
-        holds = dev * dev < bound_sq
+        q = operator.index(q)
+        dev_num, den = e * q - asz * bsz * operator.index(h_size), q
+        bound_num, bound_den = q * asz * bsz, 1
+        holds = dev_num * dev_num < bound_num * q * q
     else:
         raise ValueError(f"unknown bound form {form!r}")
-    return bool(holds), abs(float(dev)), math.sqrt(float(bound_sq))
+    return holds, abs(dev_num / den), math.sqrt(bound_num / bound_den)
 
 
 def _block_edge_counts(
@@ -506,7 +529,10 @@ def mixing_audit(
 
     Samples go in blocks of _AUDIT_ROWS: the block's A and B draws are
     resolved together by rng._sample_masks, and every e(A_t, B_t) is counted
-    in one pass over the edge list by _block_edge_counts.
+    in one pass over the edge list by _block_edge_counts. When a block
+    touches _threads._MIN_WORK elements or more, the blocks run on every
+    usable CPU (_threads.run_blocks); the calling thread then checks the
+    samples in order, so the result does not depend on the CPU count.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -524,24 +550,31 @@ def mixing_audit(
     else:
         raise ValueError(f"unknown bound form {form!r}")
 
-    violations = 0
-    worst_margin = math.inf
-    worst_sizes = (0, 0)
     xs, ys = g.edge_arrays()
-    for lo in range(0, samples, _AUDIT_ROWS):
-        block = range(lo, min(lo + _AUDIT_ROWS, samples))
+
+    def count(lo: int) -> tuple[list[int], list[int], list[int]]:
+        """e(A_t, B_t), |A_t| and |B_t| for the samples t of the block at lo."""
         starts, asz, bsz = [], [], []
-        for t in block:
+        for t in range(lo, min(lo + _AUDIT_ROWS, samples)):
             rng = SplitMix64(derive_seed(seed, t))
             asz.append(a_min + rng.randbelow(k - a_min + 1))
             bsz.append(1 + rng.randbelow(n))
             starts.append(rng.state)
         starts += [(s + sa * _GOLDEN) & _MASK for s, sa in zip(starts, asz)]
-        rows = len(block)
+        rows = len(asz)
         masks = _sample_masks(starts, [k] * rows + [n] * rows, asz + bsz)
         in_a = masks[:rows * k].reshape(rows, k)
         in_b = masks[rows * k:].reshape(rows, n)
-        edges = _block_edge_counts(xs, ys, in_a, in_b)
+        return _block_edge_counts(xs, ys, in_a, in_b), asz, bsz
+
+    violations = 0
+    worst_margin = math.inf
+    worst_sizes = (0, 0)
+    # Work: the elements one block touches. The samples' Python work takes
+    # turns on the GIL, so what pays for threads is the size of each block,
+    # not the number of blocks.
+    blocks = run_blocks(count, range(0, samples, _AUDIT_ROWS), _AUDIT_ROWS * (k + n + len(xs)))
+    for edges, asz, bsz in blocks:
         for e, sa, sb in zip(edges, asz, bsz):
             holds, dev, bound = _mixing_check(e, sa, sb, n, params, form, h_size, q)
             if not holds:

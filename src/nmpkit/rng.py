@@ -137,18 +137,27 @@ def _sample_masks(states, ns, sizes) -> np.ndarray:
         raise ValueError("every draw needs 0 <= size <= n")
     step = np.arange(int(sizes.sum()), dtype=np.int64)
     step -= np.repeat(np.cumsum(sizes) - sizes, sizes)
-    z = (step + 1).astype(np.uint64)
+    z = step.astype(np.uint64)
+    z += np.uint64(1)
     z *= np.uint64(_GOLDEN)
     z += np.repeat(np.asarray(states, dtype=np.uint64), sizes)
     _mix64_array(z)
-    z %= (np.repeat(ns, sizes) - step).astype(np.uint64)
-    j = z.astype(np.int64)
+    left = np.repeat(ns, sizes)
+    left -= step
+    z %= left.view(np.uint64)
+    del left
+    # Every value is below its n, so z reads as int64 unchanged.
+    j = z.view(np.int64)
     j += step
+    tail = j >= np.repeat(sizes, sizes)
     # Flat positions of the steps' own slots (i) and of their targets (j_i);
     # steps are named by their index in this concatenation, which orders
-    # the steps of one draw.
+    # the steps of one draw. Both are made in place, over step and j.
     shift = np.repeat(np.cumsum(ns) - ns, sizes)
-    src, tgt = shift + step, shift + j
+    src, tgt = step, j
+    src += shift
+    tgt += shift
+    del shift
     latest = np.full(int(ns.sum()), -1, dtype=np.int64)
     np.maximum.at(latest, tgt, np.arange(len(tgt)))
     mask = np.zeros(len(latest), dtype=bool)
@@ -158,7 +167,7 @@ def _sample_masks(states, ns, sizes) -> np.ndarray:
     # that no step targets is its own parent.
     up = latest[src]
     up[up < 0] = np.flatnonzero(up < 0)
-    root = latest[tgt[j >= np.repeat(sizes, sizes)]]
+    root = latest[tgt[tail]]
     live = np.flatnonzero(up[root] != root)
     while live.size:
         root[live] = up[root[live]]

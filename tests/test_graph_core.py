@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -24,6 +25,7 @@ from nmpkit import (
     induced_subgraph,
     is_connected,
     left_set,
+    load_graph,
     neighborhood,
     parse_graph,
     right_set,
@@ -102,6 +104,90 @@ def test_serialize_in_blocks_writes_the_one_shot_bytes(k, n, edges):
 def test_serialize_in_small_blocks_writes_the_one_shot_bytes(g, size):
     with mock.patch.object(graph, "_SERIAL_EDGES", size):
         assert serialize_graph(g) == serialize_at_once(g)
+
+
+@pytest.mark.parametrize("edges", [0, 1, 5, 6, 13])
+def test_save_graph_writes_the_serialized_bytes(edges, tmp_path):
+    # Blocks of 5 edges: none, part of one, one, one plus one, several.
+    g = BipartiteGraph._from_keys(4, 4, np.arange(edges))
+    path = tmp_path / "g.txt"
+    with mock.patch.object(graph, "_SERIAL_EDGES", 5):
+        save_graph(g, str(path), ["a comment", ""])
+        want = serialize_graph(g, ["a comment", ""])
+    assert path.read_bytes() == want.encode("ascii")
+    assert load_graph(str(path)) == g
+
+
+def test_save_graph_writes_each_block_as_it_is_formatted(tmp_path):
+    # One write for the header, then one per block of 5 edges: the file
+    # never gets the whole text at once.
+    writes = []
+    real_open = open
+
+    class File:
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+        def writelines(self, parts):
+            for text in parts:
+                self.write(text)
+
+    g = BipartiteGraph._from_keys(4, 4, np.arange(13))
+    path = tmp_path / "g.txt"
+    with mock.patch.object(graph, "_SERIAL_EDGES", 5), \
+            mock.patch.object(graph, "open", File, create=True):
+        save_graph(g, str(path))
+    assert [w.count("\n") for w in writes] == [1, 5, 5, 3]
+    assert path.read_text() == "".join(writes) == serialize_graph(g)
+
+
+def test_save_graph_failing_part_way_leaves_the_old_file(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("old text\n")
+    g = BipartiteGraph._from_keys(4, 4, np.arange(13))
+    real = graph._serial_edges
+
+    def failing(g):
+        parts = real(g)
+        yield next(parts)
+        raise MemoryError("injected")
+
+    with mock.patch.object(graph, "_SERIAL_EDGES", 5), \
+            mock.patch.object(graph, "_serial_edges", failing):
+        with pytest.raises(MemoryError, match="injected"):
+            save_graph(g, str(path))
+    assert path.read_text() == "old text\n"
+    assert os.listdir(tmp_path) == ["g.txt"]
+
+
+def test_save_graph_keeps_a_link_and_writes_into_a_pipe(tmp_path):
+    g = BipartiteGraph._from_keys(4, 4, np.arange(13))
+    (tmp_path / "g.txt").write_text("old text\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to("g.txt")
+    save_graph(g, str(link))
+    assert link.is_symlink()
+    assert (tmp_path / "g.txt").read_text() == serialize_graph(g)
+
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    save_graph(g, str(pipe))
+    reader.join(timeout=10)
+    assert got == [serialize_graph(g)]
+    assert sorted(os.listdir(tmp_path)) == ["g.txt", "link.txt", "pipe"]
 
 
 @given(bipartite_graphs())

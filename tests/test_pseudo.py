@@ -655,6 +655,59 @@ def test_mixing_audit_precondition():
         mixing_audit(g, PseudoParams(Fraction(9, 10), 0), 10, 1, form="thomason")
 
 
+def mixing_check_by_fractions(e, asz, bsz, n, params, form, h_size, q):
+    """The mixing check on Fractions, as the audit made it sample by sample."""
+    if form == "thomason":
+        dev = Fraction(e) - params.p * asz * bsz
+        bound_sq = params.p * n * asz * bsz * (1 + params.eps * params.p * asz)
+        holds = dev * dev <= bound_sq
+    else:
+        dev = Fraction(e) - Fraction(asz * bsz * h_size, q)
+        bound_sq = Fraction(q * asz * bsz)
+        holds = dev * dev < bound_sq
+    return bool(holds), abs(float(dev)), math.sqrt(float(bound_sq))
+
+
+@st.composite
+def mixing_inputs(draw):
+    n = draw(st.integers(1, 10**7))
+    asz, bsz = draw(st.integers(1, 10**6)), draw(st.integers(1, n))
+    e = draw(st.integers(0, asz * bsz))
+    if draw(st.booleans()):
+        p = draw(st.fractions(Fraction(1, 10**9), 1, max_denominator=10**9))
+        eps = draw(st.one_of(st.just(Fraction(0)), st.fractions(0, 10, max_denominator=10**6)))
+        return e, asz, bsz, n, PseudoParams(p, eps), "thomason", None, None
+    q = draw(st.integers(2, 10**9))
+    return e, asz, bsz, n, None, "alon_bourgain", draw(st.integers(1, q)), q
+
+
+@given(mixing_inputs())
+@example((0, 1, 1, 1, PseudoParams(1, 0), "thomason", None, None))
+@example((48 * 48, 48, 48, 2257, PseudoParams(Fraction(48, 2257), 0), "thomason", None, None))
+@example((1, 3, 5, 7, PseudoParams(Fraction(1, 3), Fraction(1, 2)), "thomason", None, None))
+@example((12, 4, 4, 2, PseudoParams(Fraction(1, 2), 0), "thomason", None, None))
+@example((3, 3, 3, 5, None, "alon_bourgain", 4, 4))
+@example((3, 1, 4, 5, None, "alon_bourgain", 2, 8))
+@settings(max_examples=300)
+def test_mixing_check_is_the_fraction_formula(args):
+    got = pseudo._mixing_check(*args)
+    want = mixing_check_by_fractions(*args)
+    assert got == want
+    assert [type(v) for v in got] == [bool, float, float]
+
+
+def test_mixing_check_at_the_boundary():
+    # thomason, p = 1/2, eps = 0, n = 2, |A| = |B| = 4: the bound is
+    # sqrt(1/2*2*4*4) = 4 around p*4*4 = 8, and a deviation equal to it holds.
+    params = PseudoParams(Fraction(1, 2), 0)
+    assert pseudo._mixing_check(12, 4, 4, 2, params, "thomason", None, None) == (True, 4.0, 4.0)
+    assert pseudo._mixing_check(13, 4, 4, 2, params, "thomason", None, None) == (False, 5.0, 4.0)
+    # alon_bourgain, q = 4, h = 4, |A| = |B| = 3: the bound is sqrt(4*3*3) = 6
+    # around 9, and a deviation equal to it fails.
+    assert pseudo._mixing_check(3, 3, 3, 5, None, "alon_bourgain", 4, 4) == (False, 6.0, 6.0)
+    assert pseudo._mixing_check(4, 3, 3, 5, None, "alon_bourgain", 4, 4) == (True, 5.0, 6.0)
+
+
 # ------------------------------------------------------------- robust delete
 
 
