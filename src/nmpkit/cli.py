@@ -65,8 +65,7 @@ def _cmd_check(args) -> int:
             print("no multiplicity function: graph is violated", file=sys.stderr)
             return 1
         with open(args.emit_multiplicity, "w", encoding="utf-8") as fh:
-            for (x, y), m in sorted(cert.multiplicity.items()):
-                fh.write(f"m {x} {y} {m}\n")
+            fh.writelines(f"m {x} {y} {m}\n" for (x, y), m in cert.multiplicity.items())
     if args.json:
         payload = {
             "verdict": cert.verdict.value,

@@ -20,13 +20,14 @@ import numpy as np
 from .graph import BipartiteGraph, FormatError, VertexSet
 from .nmpcheck import NMPCertificate, Verdict, check_nmp
 from .pseudo import gen_gnp
+from ._threads import _usable_cpus
 from .rng import ALGORITHM_ID, derive_seed
 
 WILSON_Z = 1.96  # 95%
 # A sweep forks a worker only while each worker's share is at least this many
 # stream outputs (k*n per trial). On a 2-vCPU VM a trial costs about 17 ns
 # wall per output, and a fork round trip of a 70 MB process (fork, a one-byte
-# pipe write, os._exit, waitpid) 2-4 ms; 2^20 outputs take about 18 ms, so
+# write back, os._exit, waitpid) 2-4 ms; 2^20 outputs take about 18 ms, so
 # a forked share is worth at least four times the fork it costs.
 _FORK_MIN_OUTPUTS = 1 << 20
 
@@ -73,16 +74,6 @@ def _wilson(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, fl
     return center - half, center + half
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where there is no os.fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _worker_count(cpus: int, trials: int, outputs: int) -> int:
     """Workers for `trials` trials of `outputs` stream outputs in all: at
     most one per CPU and per trial, and no more than keep each share at
@@ -95,102 +86,79 @@ def _verdicts(k: int, n: int, jobs: list[tuple[float, int]]) -> bytes:
     return bytes(check_nmp(gen_gnp(k, n, p, seed)).verdict is Verdict.HAS_NMP for p, seed in jobs)
 
 
-def _fork_share(k: int, n: int, jobs: list[tuple[float, int]]) -> tuple[int, int]:
-    """Fork a child that writes _verdicts(k, n, jobs) to a pipe and exits;
-    return its pid and the pipe's read end. The child never returns here:
-    whatever its share does, it leaves through os._exit, with status 0 only
-    when every byte was written."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            data = memoryview(_verdicts(k, n, jobs))
-            while data:
-                data = data[os.write(w, data):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _reap(pid: int, kill: bool) -> int:
-    """Wait for child pid, sending it SIGKILL first if kill, and return its
-    wait status. Where SIGCHLD is ignored the kernel reaps children itself:
-    waitpid waits for the child's exit and then fails, and the status reads
-    0. The child writes its share only once every verdict is in, so the
-    share's length alone still tells whether it is whole."""
+def _reap(pid: int, kill: bool) -> None:
+    """Wait for child pid, sending it SIGKILL first if kill. Where SIGCHLD
+    is ignored the kernel reaps children itself: waitpid waits for the
+    child's exit and then fails."""
     try:
         if kill:
             import signal
 
             os.kill(pid, signal.SIGKILL)
-        return os.waitpid(pid, 0)[1]
+        os.waitpid(pid, 0)
     except (ProcessLookupError, ChildProcessError):
-        return 0
+        pass
 
 
 def _run_trials(k: int, n: int, jobs: list[tuple[float, int]], workers: int) -> bytes:
     """_verdicts(k, n, jobs), with jobs[w::workers] run by worker w: this
     process for w = 0, a forked child for each other w.
 
-    This process reaps every child before it returns or raises; if its own
-    share raises, it kills the children first. A share whose fork failed
-    (EAGAIN under a process limit, ENOMEM), whose child exits non-zero or
-    sends a short share is run again here, so a deterministic error surfaces
-    in this process with its traceback.
+    The children share one anonymous mapping `out` of m + workers bytes,
+    m = len(jobs): child w writes its verdicts to out[w:m:workers] and only
+    then sets its flag byte out[m + w]. This process reaps every child
+    before it returns or raises, killing them first if its own share
+    raised, and then runs again every share whose flag is unset: one whose
+    fork failed (EAGAIN under a process limit, ENOMEM), or whose child
+    failed or was killed. So a deterministic error surfaces in this process
+    with its traceback.
     """
-    children: list[tuple[int, int]] = []  # (pid, read end) of workers 1, 2, ...
-    shares: list[bytes] = []
-    statuses: list[int] = []
-    try:
+    if workers == 1:
+        return _verdicts(k, n, jobs)
+    import mmap
+
+    m = len(jobs)
+    with mmap.mmap(-1, m + workers) as out:
+        pids: list[int] = []
+        done = False
+        try:
+            for w in range(1, workers):
+                try:
+                    pid = os.fork()
+                except OSError:
+                    break  # the shares left without a child run here, below
+                if pid == 0:
+                    try:
+                        out[w:m:workers] = _verdicts(k, n, jobs[w::workers])
+                        out[m + w] = 1
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            out[0:m:workers] = _verdicts(k, n, jobs[::workers])
+            done = True
+        finally:
+            for pid in pids:
+                _reap(pid, not done)
         for w in range(1, workers):
-            try:
-                children.append(_fork_share(k, n, jobs[w::workers]))
-            except OSError:
-                break  # the shares left without a child run here, below
-        shares.append(_verdicts(k, n, jobs[::workers]))
-        shares += [_read_all(r) for _, r in children]
-    finally:
-        killing = len(shares) <= len(children)
-        for pid, r in children:
-            os.close(r)
-            statuses.append(_reap(pid, killing))
-    out = bytearray(len(jobs))
-    for w in range(workers):
-        share = shares[w] if w < len(shares) else b""
-        if w and (w > len(children) or os.waitstatus_to_exitcode(statuses[w - 1]) != 0
-                  or len(share) != len(range(w, len(jobs), workers))):
-            share = _verdicts(k, n, jobs[w::workers])
-        out[w::workers] = share
-    return bytes(out)
+            if not out[m + w]:
+                out[w:m:workers] = _verdicts(k, n, jobs[w::workers])
+        return out[:m]
 
 
 def threshold_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per grid point: `trials` independent generate-and-check runs.
 
     A trial reads only check_nmp's verdict, so a graph with an under-degree
-    vertex costs no flow. On POSIX the trials are dealt out, interleaved,
-    to the calling process and up to one forked child per further usable
-    CPU (`os.sched_getaffinity`), while each worker's share is at least
-    _FORK_MIN_OUTPUTS stream outputs; every trial has its own derived seed,
-    so the rows are identical to a serial run's. No child outlives the call.
-    On Python 3.12 and later, os.fork warns (DeprecationWarning) when the
-    process already runs threads, as numpy's OpenBLAS pool does.
+    vertex costs no flow. Where there is os.fork the trials are dealt out,
+    interleaved, to the calling process and up to one forked child per
+    further usable CPU (`os.sched_getaffinity`), while each worker's share
+    is at least _FORK_MIN_OUTPUTS stream outputs. The children write their
+    verdicts into one shared mapping and then set a flag byte each; the
+    calling process reruns every share whose flag is unset (see
+    _run_trials). Every trial has its own derived seed, so the rows are
+    identical to a serial run's. No child outlives the call. On Python 3.12
+    and later, os.fork warns (DeprecationWarning) when the process already
+    runs threads, as numpy's OpenBLAS pool does.
     """
     log_n = math.log(cfg.n)
     grid = cfg.p_grid if cfg.p_grid is not None else cfg.c_grid
@@ -206,7 +174,8 @@ def threshold_sweep(cfg: SweepConfig) -> list[SweepRow]:
         points.append((p, c))
         point_seed = derive_seed(cfg.master_seed, gi)
         jobs += [(p, derive_seed(point_seed, trial)) for trial in range(cfg.trials)]
-    workers = _worker_count(_usable_cpus(), len(jobs), len(jobs) * cfg.k * cfg.n)
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    workers = _worker_count(cpus, len(jobs), len(jobs) * cfg.k * cfg.n)
     verdicts = _run_trials(cfg.k, cfg.n, jobs, workers)
     rows: list[SweepRow] = []
     for gi, (p, c) in enumerate(points):

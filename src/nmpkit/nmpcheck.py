@@ -123,10 +123,11 @@ def check_nmp(g: BipartiteGraph) -> NMPCertificate:
     """Decide NMP exactly; return a multiplicity function or a witness.
 
     The multiplicity is a plain dict, built from the flow on its first
-    read. A graph with a vertex of too small a degree is Violated without a
-    flow; its certificate solves the flow, and so the same min-cut witness,
-    on the first read of a witness field. A caller that reads only the
-    verdict pays for neither.
+    read, with its (x, y) keys in CSR order: ascending x, then ascending y,
+    as g.edges() lists them. A graph with a vertex of too small a degree is
+    Violated without a flow; its certificate solves the flow, and so the
+    same min-cut witness, on the first read of a witness field. A caller
+    that reads only the verdict pays for neither.
     """
     if g.k < 1 or g.n < 1:
         raise ValueError("check_nmp requires nonempty sides")

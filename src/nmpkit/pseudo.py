@@ -298,22 +298,25 @@ def gen_gnp(k: int, n: int, p: float, seed: int) -> BipartiteGraph:
     return BipartiteGraph._from_keys(k, n, keys)
 
 
-# Rows per block of gen_sum_cayley's and gen_pg2's incidence tests. A block's
-# temporaries hold _GEN_ROWS x n entries, so a generator's peak memory is
-# about that plus its edge keys, not the dense k x n test.
-_GEN_ROWS = 256
+# Entries per block of gen_sum_cayley's and gen_pg2's incidence tests. A
+# block takes max(1, _GEN_BLOCK // n) rows, so its temporaries hold about
+# _GEN_BLOCK entries (n for a one-row block), and a generator's peak memory
+# is about that plus its edge keys, not the dense k x n test.
+_GEN_BLOCK = 1 << 19
 
 
 def _graph_by_row_blocks(k: int, n: int, block) -> BipartiteGraph:
-    """The k x n graph whose rows s, s+1, ... are the True entries of the
-    boolean array block(s), which has rows s up to s + _GEN_ROWS (or k).
+    """The k x n graph whose rows are the True entries of the boolean
+    arrays block(slice(s, s + step)), for s = 0, step, 2*step, ... below k
+    and step = max(1, _GEN_BLOCK // n); the last block may be short.
 
     np.nonzero lists each block's entries in row-major order, so the keys
     (row + s)*n + col come out strictly increasing, as _from_keys takes them.
     """
+    step = max(1, _GEN_BLOCK // n)
     keys = []
-    for s in range(0, k, _GEN_ROWS):
-        rows, cols = np.nonzero(block(s))
+    for s in range(0, k, step):
+        rows, cols = np.nonzero(block(slice(s, s + step)))
         keys.append((rows + s) * n + cols)
     return BipartiteGraph._from_keys(k, n, np.concatenate(keys))
 
@@ -350,8 +353,9 @@ def gen_sum_cayley(
     """Bipartite sum-Cayley graph: (x, y) is an edge iff x + y is in H.
 
     H is the unique multiplicative subgroup of order (q-1)/d, i.e. the set
-    of d-th power residues mod the prime q. The sums are tested for
-    _GEN_ROWS left vertices at a time, so no |X| x |Y| array is built.
+    of d-th power residues mod the prime q. The sums are tested in blocks
+    of left vertices (_graph_by_row_blocks), so no |X| x |Y| array is
+    built.
     """
     if not _is_prime(q):
         raise ValueError(f"q = {q} is not prime")
@@ -377,8 +381,8 @@ def gen_sum_cayley(
     in_h[h] = True
     xa, ya = np.array(xs), np.array(ys)
 
-    def block(s: int) -> np.ndarray:
-        sums = np.add.outer(xa[s:s + _GEN_ROWS], ya)
+    def block(rows: slice) -> np.ndarray:
+        sums = np.add.outer(xa[rows], ya)
         sums %= q
         return in_h[sums]
 
@@ -398,9 +402,9 @@ def gen_pg2(q: int) -> BipartiteGraph:
     Both sides have q^2 + q + 1 vertices; every degree is q + 1 and every
     pair of distinct points lies on exactly one common line. Point u lies on
     line v when their representatives have dot product 0 mod q; the products
-    are taken for _GEN_ROWS points at a time, so no point-by-line array is
-    built. At q = 101 (1.05M edges) tracemalloc's peak is about 32 MB,
-    against 1.6 GB for the whole product.
+    are taken in blocks of points (_graph_by_row_blocks), so no
+    point-by-line array is built. At q = 101 (1.05M edges) tracemalloc's
+    peak is about 25 MB, against 1.6 GB for the whole product.
     """
     if not _is_prime(q):
         raise ValueError(f"q = {q} is not prime")
@@ -409,8 +413,8 @@ def gen_pg2(q: int) -> BipartiteGraph:
     reps += [(1, b, c) for b in range(q) for c in range(q)]
     pts = np.array(reps, dtype=np.int64)
 
-    def block(s: int) -> np.ndarray:
-        dots = pts[s:s + _GEN_ROWS] @ pts.T
+    def block(rows: slice) -> np.ndarray:
+        dots = pts[rows] @ pts.T
         dots %= q
         return dots == 0
 

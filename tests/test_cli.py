@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from nmpkit import BipartiteGraph, load_graph, parse_graph, pseudo, serialize_graph
+from nmpkit import BipartiteGraph, build_euclidean_tree, load_graph, parse_graph, pseudo, serialize_graph
 from nmpkit.cli import main
 
 from conftest import complete_graph
@@ -109,6 +109,11 @@ def test_tree_emit_and_verify(tmp_path, capsys):
     assert "nmp=has_nmp" in capsys.readouterr().err
 
 
+def test_tree_without_emit_writes_the_tree_to_stdout(capsys):
+    assert main(["tree", "--l", "3", "--L", "7"]) == 0
+    assert parse_graph(capsys.readouterr().out) == build_euclidean_tree(3, 7).graph
+
+
 def test_tree_non_coprime_exits_1(capsys):
     assert main(["tree", "--l", "4", "--L", "6"]) == 1
     assert "coprime" in capsys.readouterr().err
@@ -204,6 +209,14 @@ def test_verify_pseudo_estimate_errors_come_first(tmp_path, capsys, edges, argv,
     assert main(["verify-pseudo", str(path), *argv]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, error)
+
+
+def test_verify_pseudo_needs_p_or_estimate(tmp_path, capsys):
+    out = tmp_path / "pg.graph"
+    main(["gen", "pg2", "--q", "3", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["verify-pseudo", str(out), "--eps", "0"]) == 2
+    assert capsys.readouterr() == ("", "either --p or --estimate is required\n")
 
 
 def test_verify_pseudo_warns_large_eps(tmp_path, capsys):

@@ -48,6 +48,12 @@ def test_schedule_3_7():
     assert s.q == (3, 2)
 
 
+def test_schedule_rejects_a_side_below_1():
+    for ell, big_l in [(0, 1), (1, 0), (-2, 3)]:
+        with pytest.raises(ValueError, match="sides must be positive"):
+            euclid_schedule(ell, big_l)
+
+
 def test_schedule_rejects_non_coprime():
     with pytest.raises(ValueError, match="coprime"):
         euclid_schedule(4, 6)

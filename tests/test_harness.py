@@ -24,7 +24,7 @@ from nmpkit import (
     threshold_sweep,
     validate_star_fill,
 )
-from nmpkit import harness
+from nmpkit import _threads, harness
 from nmpkit.harness import _wilson, sweep_csv, star_array_graph
 from nmpkit.nmpcheck import Verdict, check_nmp
 from nmpkit.pseudo import gen_gnp
@@ -170,6 +170,23 @@ def test_sweep_failed_child_share_is_rerun_by_the_parent():
     assert rows == serial_rows(SPLIT_CFG)
 
 
+def test_sweep_parent_runs_no_share_of_a_child_that_finished():
+    parent = os.getpid()
+    real_check = harness.check_nmp
+    parent_checks = []
+
+    def count_parent_checks(g):
+        if os.getpid() == parent:
+            parent_checks.append(1)
+        return real_check(g)
+
+    with mock.patch.object(harness, "check_nmp", count_parent_checks):
+        rows, forks = forked_sweep(SPLIT_CFG, 3)
+    assert forks == 2
+    assert rows == serial_rows(SPLIT_CFG)
+    assert len(parent_checks) == len(range(0, 4 * SPLIT_CFG.trials, 3))
+
+
 @pytest.mark.parametrize("successful_forks", [0, 1])
 def test_sweep_runs_the_shares_of_failed_forks_in_the_parent(successful_forks):
     # Under a process limit fork raises EAGAIN (ENOMEM under strict overcommit).
@@ -191,7 +208,7 @@ def test_sweep_runs_the_shares_of_failed_forks_in_the_parent(successful_forks):
     assert rows == serial_rows(SPLIT_CFG)
     assert_no_children()
     if fds is not None:
-        assert len(os.listdir("/proc/self/fd")) == fds  # the failed forks' pipes are closed
+        assert len(os.listdir("/proc/self/fd")) == fds  # the sweep leaves no descriptor open
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -267,12 +284,15 @@ def test_worker_count_rule():
         assert harness._worker_count(2, 200, 200 * 300 * 300) == 2
 
 
-def test_usable_cpus():
+def test_usable_cpus(monkeypatch):
+    # The sweep counts CPUs with the package's one _usable_cpus.
+    assert harness._usable_cpus is _threads._usable_cpus
     assert harness._usable_cpus() == len(os.sched_getaffinity(0))
-    with mock.patch.object(harness, "os", mock.Mock(spec=["cpu_count"], cpu_count=lambda: 4)):
-        assert harness._usable_cpus() == 1  # no os.fork
-    with mock.patch.object(harness, "os", mock.Mock(spec=["fork", "cpu_count"], cpu_count=lambda: 4)):
-        assert harness._usable_cpus() == 4  # no sched_getaffinity
+    # Where there is no os.fork the calling process is the one worker.
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(harness, "_FORK_MIN_OUTPUTS", 1)
+    monkeypatch.delattr(harness.os, "fork")
+    assert threshold_sweep(SPLIT_CFG) == serial_rows(SPLIT_CFG)
 
 
 def test_sweep_config_validation():

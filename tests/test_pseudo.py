@@ -147,6 +147,10 @@ def test_sum_cayley_subsets_and_errors():
         gen_sum_cayley(13, 5)
     with pytest.raises(ValueError, match="outside"):
         gen_sum_cayley(13, 2, x_spec=[13])
+    with pytest.raises(ValueError, match="X subset has repeated elements"):
+        gen_sum_cayley(13, 2, x_spec=[1, 4, 1])
+    with pytest.raises(ValueError, match="Y subset is empty"):
+        gen_sum_cayley(13, 2, y_spec=[])
 
 
 def test_is_prime():
@@ -222,11 +226,27 @@ def test_sum_cayley_equals_the_dense_construction(args):
 
 @pytest.mark.parametrize("rows", [1, 7])
 def test_generators_equal_the_dense_construction_in_any_row_blocks(rows):
-    # Blocks that split the rows unevenly, with a short last block.
-    with mock.patch.object(pseudo, "_GEN_ROWS", rows):
+    # Blocks that split the rows unevenly, with a short last block. A block
+    # of `rows` rows holds rows * n entries: n = 31 for PG(2, 5), 13 for
+    # the sum graph.
+    with mock.patch.object(pseudo, "_GEN_BLOCK", rows * 31):
         assert gen_pg2(5) == pg2_dense(5)
+    with mock.patch.object(pseudo, "_GEN_BLOCK", rows * 13):
         res = gen_sum_cayley(13, 2, [1, 4, 5, 9, 12], "all")
         assert res.graph == sum_cayley_dense(13, 2, res.x_elements, res.y_elements)
+
+
+def test_generator_blocks_take_2_to_the_19_entries_in_whole_rows():
+    for n, step in [(2**19, 1), (2**19 + 1, 1), (2**18, 2), (2257, 232), (31, 16912)]:
+        table = np.eye(5, n, dtype=bool)
+        blocks = []
+
+        def block(rows):
+            blocks.append((rows.start, rows.stop))
+            return table[rows]
+
+        assert pseudo._graph_by_row_blocks(5, n, block) == BipartiteGraph.from_matrix(table)
+        assert blocks == [(s, s + step) for s in range(0, 5, step)]
 
 
 # ------------------------------------------------------------- verification
@@ -655,6 +675,20 @@ def test_mixing_audit_precondition():
         mixing_audit(g, PseudoParams(Fraction(9, 10), 0), 10, 1, form="thomason")
 
 
+@pytest.mark.parametrize("g, params, samples, form, error", [
+    (complete_graph(3, 4), PseudoParams(Fraction(1, 2), 0), 0, "thomason", "at least one sample"),
+    # K_{3,4} verifies p = 1/4 with eps = 100, but no |A| >= 4 fits in k = 3.
+    (complete_graph(3, 4), PseudoParams(Fraction(1, 4), 100), 10, "thomason",
+     r"ceil\(1/p\) = 4 > k = 3"),
+    (complete_graph(3, 4), PseudoParams(Fraction(1, 2), 0), 10, "spectral",
+     "unknown bound form 'spectral'"),
+    (complete_graph(3, 4), None, 10, "thomason", "thomason form needs params"),
+])
+def test_mixing_audit_rejects_bad_arguments(g, params, samples, form, error):
+    with pytest.raises(ValueError, match=error):
+        mixing_audit(g, params, samples, 1, form=form)
+
+
 def mixing_check_by_fractions(e, asz, bsz, n, params, form, h_size, q):
     """The mixing check on Fractions, as the audit made it sample by sample."""
     if form == "thomason":
@@ -776,6 +810,13 @@ def test_robust_delete_rejects_bad_d():
     g = gen_pg2(11)
     with pytest.raises(ValueError, match="outside"):
         robust_delete(g, Fraction(12, 133), 0, eps=0.3, d_size=0, seed=1)
+
+
+def test_robust_delete_rejects_parameters_the_graph_fails():
+    # PG(2, 11) has degree 12 = (12/133)*133, below (13/133)*133.
+    g = gen_pg2(11)
+    with pytest.raises(ValueError, match=r"does not verify the claimed \(p0, eps0\)"):
+        robust_delete(g, Fraction(13, 133), 0, eps=0.3, d_size=3, seed=1)
 
 
 def test_robust_delete_rejects_large_eps():

@@ -114,6 +114,12 @@ def test_randbelow_range(seed, n):
         assert 0 <= rng.randbelow(n) < n
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_randbelow_rejects_an_empty_range(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        SplitMix64(1).randbelow(n)
+
+
 @given(st.integers(0, 2**64 - 1), st.integers(0, 20), st.integers(0, 20))
 def test_sample_without_replacement(seed, n_extra, size):
     n = size + n_extra
