@@ -7,6 +7,10 @@ threads. The calling thread is worker 0; one more thread is started per
 further usable CPU, and every thread is joined before the call returns or
 raises, so no thread outlives it. A block must not call a function that the
 benchmark's span tracer wraps: its recorder keeps one stack of open spans.
+
+Callers: the codegree pair scan and the mixing audit (pseudo), and the
+decode of a graph file's edge chunks (graph._canonical_edges), which took
+0.62x its one-worker time on the approx_b benchmark's 3.25 MB file.
 """
 
 from __future__ import annotations
@@ -24,7 +28,10 @@ R = TypeVar("R")
 # 5.4M pairs took 0.60x to 0.93x their one-worker time; scans of 0.5M pairs
 # or fewer took 0.87x to 1.87x. Audit blocks of 32 samples touching 1.1M to
 # 3.9M elements took 0.63x to 1.02x; blocks of 0.9M elements or fewer took
-# 1.1x to 2.05x.
+# 1.1x to 2.05x. Edge-text decodes of 1.07 to 13.1 MB, in 256 KB chunks,
+# took 0.62x to 0.71x (41 pairs; 13 at 13.1 MB); the bytes are their work,
+# so files under 1 MB decode inline, although with threads forced a 0.45 MB
+# file took 0.76x (61 pairs).
 _MIN_WORK = 1 << 20
 
 

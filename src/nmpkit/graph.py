@@ -21,8 +21,10 @@ File format (line-oriented UTF-8):
     e <x> <y>          (0 <= x < k, 0 <= y < n; duplicates are an error)
 The serializer emits the header and then edges sorted by (x, y). When the
 edge lines are exactly in that form, the parser checks it and decodes the
-numbers on the bytes, in chunks that fit in L2, and sorted edges skip
-_build's sort; any other valid text parses to the same graph line by line.
+numbers on the bytes, in chunks that fit in L2, straight into edge arrays
+allocated once; from 1 MB of edge text up the chunks run on one thread per
+usable CPU (_threads.run_blocks). Sorted edges skip _build's sort; any other
+valid text parses to the same graph line by line.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from ._threads import run_blocks
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -407,17 +411,26 @@ _KEEP = np.array(
 )
 
 
-def _run_values(words: np.ndarray, stops: np.ndarray, runs: np.ndarray) -> np.ndarray:
+def _run_values(
+    words: np.ndarray, stops: np.ndarray, runs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The numbers written as runs of 1-18 ASCII digits, run i being the
-    last runs[i] bytes of the word words[stops[i]] and of the words before.
+    last runs[i] bytes of the word words[stops[i]] and of the words before;
+    written into the uint64 array out when it is given, and returned.
 
     words[s] is bytes s..s+7 of a buffer read as one little-endian uint64, so
     a run's last 8 digits are the word's high bytes, its first digit the
     lowest of them. With the bytes in front of the run cleared, three
     multiply/shift/mask steps add up digit pairs, then pairs of pairs, then
     the two halves (SWAR; Langdale and Lemire, Parsing Gigabytes of JSON per
-    Second, VLDB J. 2019). A run of more than 8 digits takes its next 8 from
-    the word 8 bytes before.
+    Second, VLDB J. 2019); the last step writes into out. A run of more than
+    8 digits takes its next 8 from the word 8 bytes before.
+
+    The gather is the fancy index words[stops]. np.take(words, stops,
+    out=...) would save the copy into out, but on this unaligned stride-1
+    view it first copies the whole view, 8 bytes per byte of data: for one
+    chunk's 29.5k numbers of the approx_b benchmark's file, 26 MB and 4.3 ms
+    against 0.24 MB and 0.24 ms.
     """
     v = words[stops]
     v &= _KEEP[runs]
@@ -428,7 +441,7 @@ def _run_values(words: np.ndarray, stops: np.ndarray, runs: np.ndarray) -> np.nd
     v >>= 16
     v &= 0x0000FFFF0000FFFF
     v *= 10000 << 32 | 1
-    v >>= 32
+    v = np.right_shift(v, 32, out=v if out is None else out)
     more = np.flatnonzero(runs > 8)
     if len(more):
         v[more] += _run_values(words, stops[more] - 8, runs[more] - 8) * 10**8
@@ -443,15 +456,26 @@ def _canonical_edges(
     number (so every value fits in int64), and whether they are in range and
     in strictly increasing key order for sizes k, n; None for any other text.
 
-    The bytes go in chunks of about _CHUNK that end at a line end. In each,
-    the bytes that are not digits must be "e", " ", " ", "\n" per line, the
-    "e" first on its line and right before a space, with 1-18 digits between
-    the spaces and between the second space and the line end; so a byte
-    outside ASCII fails the form. Each number is then read from the 8-byte
-    words before its stop by _run_values, in place in data. The first line's
-    words reach up to 5 bytes in front of start, where parse_graph's header
-    line (16 bytes at least) lies and _KEEP clears them; edge text with
-    fewer than 8 bytes in front is copied behind zero bytes.
+    The bytes are cut into chunks of about _CHUNK that end at a line end, and
+    each chunk's newlines are counted (with numpy: bytes.count took 3-4x as
+    long), so that xs and ys are allocated once and each chunk owns the
+    slice of them from its first line on; there are no per-chunk arrays to
+    concatenate. The chunks are blocks of _threads.run_blocks, with the
+    edge-text bytes as the work: from _threads._MIN_WORK bytes up they run
+    on every usable CPU. In each, the bytes that are not digits must be "e",
+    " ", " ", "\n" per line, the "e" first on its line and right before a
+    space, with 1-18 digits between the spaces and between the second space
+    and the line end; so a byte outside ASCII fails the form, and a chunk
+    that passes has as many lines as newlines. Each number is then read from
+    the 8-byte words before its stop by _run_values, in place in data, whose
+    last step writes into the chunk's slice (see there why the gather stays
+    a fancy index). The chunk reports whether its keys x*n + y are in range
+    and increasing, with its first and last key; the caller checks the order
+    across chunk ends. Keys are computed only when k*n fits in int64. The
+    first line's words reach up to 5 bytes in front of start, where
+    parse_graph's header line (16 bytes at least) lies and _KEEP clears
+    them; edge text with fewer than 8 bytes in front is copied behind zero
+    bytes.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
@@ -461,16 +485,25 @@ def _canonical_edges(
         return None
     b = np.frombuffer(data, dtype=np.uint8)
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    none = np.empty(0, dtype=np.int64)
-    xs, ys = [none], [none]
-    ordered = k * n <= _INT64_MAX
-    last = -1
+    chunks = []  # (lo, hi, index of the chunk's first line)
     lo = start
+    lines = 0
     while lo < len(data):
         hi = data.rfind(b"\n", lo, lo + _CHUNK) + 1 or data.index(b"\n", lo) + 1
-        chunk = b[lo:hi]
-        marks = np.flatnonzero((chunk - ord("0")) > 9)
-        if len(marks) % 4 or not (chunk[marks].view("<u4") == _LINE_FORM).all():
+        chunks.append((lo, hi, lines))
+        lines += int(np.count_nonzero(b[lo:hi] == ord("\n")))
+        lo = hi
+    xs = np.empty(lines, dtype=np.int64)
+    ys = np.empty(lines, dtype=np.int64)
+    keyed = k * n <= _INT64_MAX
+
+    def decode(chunk: tuple[int, int, int]) -> tuple[int, ...] | None:
+        """None if the chunk is not canonical; else its first and last key
+        if they are in range and increasing, or () if not."""
+        lo, hi, first = chunk
+        c = b[lo:hi]
+        marks = np.flatnonzero((c - ord("0")) > 9)
+        if len(marks) % 4 or not (c[marks].view("<u4") == _LINE_FORM).all():
             return None
         s1, s2, nl = marks[1::4], marks[2::4], marks[3::4]
         # Marks increase, so the gaps from each line's start to its "e" and
@@ -483,19 +516,21 @@ def _canonical_edges(
             or max(rx.max(), ry.max()) > 18
         ):
             return None
+        x, y = xs[first:first + len(nl)], ys[first:first + len(nl)]
         # words[lo - 8 + s] is the 8 bytes before chunk offset s.
-        x = _run_values(words[lo - 8:], s2, rx).view(np.int64)
-        y = _run_values(words[lo - 8:], nl, ry).view(np.int64)
-        if ordered:
+        _run_values(words[lo - 8:], s2, rx, x.view(np.uint64))
+        _run_values(words[lo - 8:], nl, ry, y.view(np.uint64))
+        if keyed:
             keys = x * n + y
-            ordered = bool(
-                x.max() < k and y.max() < n and keys[0] > last and (keys[1:] > keys[:-1]).all()
-            )
-            last = keys[-1]
-        xs.append(x)
-        ys.append(y)
-        lo = hi
-    return np.concatenate(xs), np.concatenate(ys), ordered
+            if x.max() < k and y.max() < n and (keys[1:] > keys[:-1]).all():
+                return int(keys[0]), int(keys[-1])
+        return ()
+
+    ends = run_blocks(decode, chunks, len(data) - start)
+    if any(e is None for e in ends):
+        return None
+    ordered = keyed and all(ends) and all(e[1] < f[0] for e, f in zip(ends, ends[1:]))
+    return xs, ys, ordered
 
 
 def parse_graph(text: str | bytes) -> BipartiteGraph:
@@ -504,7 +539,8 @@ def parse_graph(text: str | bytes) -> BipartiteGraph:
     When everything after the header line is in the form serialize_graph
     writes, the edges are read in bulk: the header part goes through the
     line loop, the edge lines through _canonical_edges, which checks their
-    form on the bytes and decodes the numbers chunk by chunk. Edges that are
+    form on the bytes and decodes the numbers chunk by chunk, on one thread
+    per usable CPU for 1 MB of edge text or more. Edges that are
     in range and in increasing key order, as the serializer writes them,
     become the CSR arrays directly; others go through _build, which names
     the first bad edge in input order. Any other text takes the line loop

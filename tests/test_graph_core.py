@@ -17,6 +17,7 @@ from nmpkit import (
     BipartiteGraph,
     FormatError,
     Side,
+    _threads,
     build_euclidean_tree,
     disjoint_copies,
     edge_count_between,
@@ -434,6 +435,19 @@ def test_bulk_parse_matches_the_line_loop_across_chunks(corruption, place):
 def test_bulk_parse_matches_the_line_loop_in_small_chunks(g, corruption, at, size):
     with mock.patch.object(graph, "_CHUNK", size):
         test_bulk_parse_matches_the_line_loop.hypothesis.inner_test(g, [], corruption, at)
+
+
+@given(
+    bipartite_graphs(),
+    st.sampled_from([None, *CANONICAL_CORRUPTIONS, *OTHER_CORRUPTIONS]),
+    st.integers(0, 10**6),
+    st.integers(1, 64),
+)
+def test_bulk_parse_matches_the_line_loop_in_small_chunks_on_three_threads(g, corruption, at, size):
+    # Every call, however small, decodes its chunks on three threads.
+    with mock.patch("os.sched_getaffinity", return_value={0, 1, 2}), \
+            mock.patch.object(_threads, "_MIN_WORK", 1):
+        test_bulk_parse_matches_the_line_loop_in_small_chunks.hypothesis.inner_test(g, corruption, at, size)
 
 
 DIGIT_RUNS = st.text("0123456789", min_size=1, max_size=18)

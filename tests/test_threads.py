@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -14,8 +15,10 @@ from nmpkit import (
     gen_pg2,
     gen_sum_cayley,
     mixing_audit,
+    parse_graph,
     pseudo,
     rng,
+    serialize_graph,
     verify_thomason,
 )
 from nmpkit import graph as graph_mod
@@ -197,6 +200,125 @@ def test_mixing_audit_is_the_serial_audit_on_any_cpu_count(name, samples, counte
     assert (counted_threads.started > 0) == (samples > pseudo._AUDIT_ROWS)
 
 
+def edge_text(pairs):
+    return "".join(f"e {x} {y}\n" for x, y in pairs)
+
+
+GRID = [(x, y) for x in range(3) for y in range(3)]  # keys 0..8, in order
+BIG = [("0", "1"), ("0", "9" * 17), ("1", "123456789012345678"), ("8", "9" * 18), ("9" * 18, "0")]
+
+# Edge sections (k, n, edge lines) of lines of six bytes or more, decoded in
+# chunks of at most 12 bytes: two lines each, or one line longer than that.
+DECODES = {
+    "in order": (3, 3, edge_text(GRID)),
+    "order breaks at a chunk boundary": (3, 3, edge_text(GRID[:1] + GRID[2:3] + GRID[1:2] + GRID[3:])),
+    "duplicate across a chunk boundary": (3, 3, edge_text(GRID[:2] + GRID[1:2] + GRID[3:])),
+    "malformed line in the last chunk": (3, 3, edge_text(GRID[:-1]) + "e 2 x\n"),
+    "17 and 18 digits": (9, 10**18, edge_text(BIG[:4])),
+    "18 digits out of range": (9, 10**18, edge_text(BIG)),
+    # The keys x*n + y fit in int64 and increase, but k*n does not fit.
+    "k*n at least 2^63": (2**32, 2**32, edge_text(GRID + [(2**31 - 1, 5)])),
+    "no edges": (3, 3, ""),
+}
+
+
+def decoded_tokens(k, n, body):
+    """What _canonical_edges must give for the edge lines body, from the
+    tokens with int(), or None if a line is not canonical."""
+    lines = body.splitlines()
+    if not all(re.fullmatch(r"e [0-9]{1,18} [0-9]{1,18}", line) for line in lines):
+        return None
+    xs = [int(line.split()[1]) for line in lines]
+    ys = [int(line.split()[2]) for line in lines]
+    keys = [x * n + y for x, y in zip(xs, ys)]
+    ordered = (
+        k * n < 2**63
+        and all(x < k for x in xs)
+        and all(y < n for y in ys)
+        and all(a < b for a, b in zip(keys, keys[1:]))
+    )
+    return xs, ys, ordered
+
+
+def chunk_count(body, size):
+    count, lo = 0, 0
+    while lo < len(body):
+        lo = body.rfind("\n", lo, lo + size) + 1 or body.index("\n", lo) + 1
+        count += 1
+    return count
+
+
+def parse_result(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:  # FormatError, or sizes beyond int64 keys
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(DECODES))
+def test_edge_decode_is_the_inline_decode_on_any_cpu_count(name, counted_threads):
+    k, n, body = DECODES[name]
+    text = f"p bipartite {k} {n}\n" + body
+    want = decoded_tokens(k, n, body)
+    want_graph = parse_result(graph_mod._parse_lines, text)
+    with mock.patch.object(graph_mod, "_CHUNK", 12):
+        for count in (1, 2, 3):
+            with cpus(count), every_block_threaded():
+                got = graph_mod._canonical_edges(body, k, n)
+                if want is None:
+                    assert got is None
+                else:
+                    xs, ys, ordered = got
+                    assert (xs.tolist(), ys.tolist(), ordered) == want
+                assert parse_result(parse_graph, text) == want_graph
+    chunks = chunk_count(body, 12)
+    assert chunks >= 3 or name == "no edges"
+    # Two calls on each CPU count: one worker per usable CPU and per chunk.
+    assert counted_threads.started == 2 * sum(min(count, chunks) - 1 for count in (1, 2, 3) if chunks)
+
+
+def test_edge_decode_names_the_line_the_line_loop_names():
+    # The duplicate is the first line of the second chunk: order breaks at
+    # the boundary, and _build names the line.
+    text = "p bipartite 3 3\n" + DECODES["duplicate across a chunk boundary"][2]
+    with mock.patch.object(graph_mod, "_CHUNK", 12), cpus(2), every_block_threaded():
+        with pytest.raises(graph_mod.FormatError, match=r"^line 4: duplicate edge \(0, 1\)$"):
+            parse_graph(text)
+
+
+def test_edge_decode_under_frequent_switches():
+    # Eight workers on 40 chunks, switching threads as often as the
+    # interpreter allows, each writing its own slice of the edge arrays.
+    g = gen_gnp(60, 70, 0.5, 3)
+    body = serialize_graph(g).partition("\n")[2]
+    interval = sys.getswitchinterval()
+    with mock.patch.object(graph_mod, "_CHUNK", len(body) // 40):
+        with cpus(1):
+            xs, ys, ordered = graph_mod._canonical_edges(body, g.k, g.n)
+        assert [xs.tolist(), ys.tolist()] == [a.tolist() for a in g.edge_arrays()]
+        sys.setswitchinterval(1e-6)
+        try:
+            with cpus(8), every_block_threaded():
+                for _ in range(5):
+                    got = graph_mod._canonical_edges(body, g.k, g.n)
+                    assert got[0].tolist() == xs.tolist() and got[1].tolist() == ys.tolist()
+                    assert got[2] is ordered is True
+        finally:
+            sys.setswitchinterval(interval)
+    assert block_threads() == []
+
+
+def test_parse_of_a_benchmark_sized_file_on_any_cpu_count(counted_threads):
+    # The approx_b benchmark's file: 3.3 MB of edge text, 13 chunks.
+    g = gen_gnp(1000, 1100, 0.3, 1)
+    text = serialize_graph(g)
+    assert len(text) > _threads._MIN_WORK
+    for count in (1, 2, 3):
+        with cpus(count):
+            assert parse_graph(text) == g
+    assert counted_threads.started == 1 + 2
+
+
 def test_pg2_47_results_on_any_cpu_count(counted_threads):
     g = gen_pg2(47)
     params = PseudoParams(Fraction(48, g.n), 0)
@@ -214,10 +336,15 @@ def test_pg2_47_results_on_any_cpu_count(counted_threads):
 def test_small_calls_start_no_thread(counted_threads):
     g = gen_pg2(23)
     params = PseudoParams(Fraction(24, g.n), 0)
+    # A graph file of 0.86 MB: four chunks, under _MIN_WORK bytes.
+    h = gen_gnp(500, 600, 0.3, 1)
+    text = serialize_graph(h)
+    assert 3 * graph_mod._CHUNK < len(text) < _threads._MIN_WORK
     with cpus(2):
         verify_thomason(g, params)
         estimate_thomason_params(g)
         mixing_audit(g, params, 200, 1)
+        assert parse_graph(text) == h
     assert counted_threads.started == 0
 
 
@@ -232,14 +359,18 @@ def test_no_thread_outlives_a_public_call():
         assert threading.active_count() == before
         mixing_audit(g, params, 100, 3)
         assert threading.active_count() == before
+        with mock.patch.object(graph_mod, "_CHUNK", 1000):
+            assert parse_graph(serialize_graph(g)) == g
+        assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("target", ["_block_edge_counts", "_ranges"])
+@pytest.mark.parametrize("target", ["_block_edge_counts", "_ranges", "_run_values"])
 def test_no_thread_outlives_a_call_whose_block_raises(target):
     # The third call of the block kernel raises, on whichever thread runs it.
     g = gen_pg2(31)
     params = PseudoParams(Fraction(32, g.n), 0)
-    real = getattr(pseudo, target)
+    owner = graph_mod if target == "_run_values" else pseudo
+    real = getattr(owner, target)
     calls = []
 
     def flaky(*args):
@@ -248,12 +379,15 @@ def test_no_thread_outlives_a_call_whose_block_raises(target):
             raise MemoryError("injected")
         return real(*args)
 
+    text = serialize_graph(g)
     before = threading.active_count()
-    with cpus(2), every_block_threaded(), mock.patch.object(pseudo, target, flaky), \
-            mock.patch.object(pseudo, "_PAIR_BINS", 4 * g.k):
+    with cpus(2), every_block_threaded(), mock.patch.object(owner, target, flaky), \
+            mock.patch.object(pseudo, "_PAIR_BINS", 4 * g.k), mock.patch.object(graph_mod, "_CHUNK", 1000):
         with pytest.raises(MemoryError, match="injected"):
             if target == "_ranges":
                 verify_thomason(g, params)
+            elif target == "_run_values":
+                parse_graph(text)
             else:
                 mixing_audit(g, params, 150, 3)
     assert len(calls) >= 3
@@ -268,7 +402,7 @@ def test_worker_threads_call_no_traced_function():
         (pseudo, "verify_thomason"), (pseudo, "estimate_thomason_params"),
         (pseudo, "mixing_deviation"), (pseudo, "edge_count_between"),
         (graph_mod, "edge_count_between"), (graph_mod, "neighborhood"),
-        (graph_mod, "induced_subgraph"), (rng.SplitMix64, "sample"),
+        (graph_mod, "induced_subgraph"), (graph_mod, "parse_graph"), (rng.SplitMix64, "sample"),
     ]
     off_main = []
 
@@ -282,13 +416,15 @@ def test_worker_threads_call_no_traced_function():
     patches = [mock.patch.object(owner, name, wrap(getattr(owner, name))) for owner, name in traced]
     g = gen_pg2(31)
     params = PseudoParams(Fraction(32, g.n), 0)
-    with cpus(2), every_block_threaded():
+    text = serialize_graph(g)
+    with cpus(2), every_block_threaded(), mock.patch.object(graph_mod, "_CHUNK", 1000):
         for p in patches:
             p.start()
         try:
             pseudo.verify_thomason(g, params)
             pseudo.estimate_thomason_params(g)
             pseudo.mixing_audit(g, params, 100, 3)
+            assert graph_mod.parse_graph(text) == g
         finally:
             for p in patches:
                 p.stop()
