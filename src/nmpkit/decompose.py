@@ -36,11 +36,13 @@ from .euclid import (
     TreeFactor,
     build_euclidean_tree,
     euclid_schedule,
+    verify_tree_factor,
 )
 from .graph import (
     BipartiteGraph,
     Side,
     VertexSet,
+    _check_side,
     induced_subgraph,
     left_set,
     right_set,
@@ -76,8 +78,8 @@ def extract_thrill(
     The Y side is the X side of g.swap_sides(), with anchors v and leaf pool
     u; its two leftovers are then exchanged, so A stays the left one.
     """
-    if u.side is not Side.LEFT or v.side is not Side.RIGHT:
-        raise ValueError("extract_thrill expects (left set, right set)")
+    _check_side(g, u, Side.LEFT)
+    _check_side(g, v, Side.RIGHT)
     if q < 1:
         raise ValueError("fan width q must be positive")
     if side is Side.LEFT:
@@ -309,11 +311,12 @@ def _factor_proves_remainder(g: BipartiteGraph, result: ApproxResult) -> bool:
     """Whether result.factor proves that the remainder of g has NMP.
 
     It does when the canonical T_{ell,L} has NMP (checked once, with its
-    certificate validated), the copies' role arrays, sorted, are exactly the
-    kept vertices of each side, and every tree edge mapped through every
-    copy's roles is an edge of g. The copies then partition the remainder,
-    whose sides are in the ratio ell:L, and a kept left set S with part S_i
-    in copy T_i has |N(S)| >= sum |N_{T_i}(S_i)| >= sum |S_i|*L/ell = |S|*L/ell.
+    certificate validated), the copies hold as many vertices of each side
+    as are kept and none that is deleted, and `verify_tree_factor` finds the
+    factor valid in g. The copies are then disjoint T_{ell,L} copies made of
+    edges of g that partition the remainder, whose sides are in the ratio
+    ell:L, and a kept left set S with part S_i in copy T_i has
+    |N(S)| >= sum |N_{T_i}(S_i)| >= sum |S_i|*L/ell = |S|*L/ell.
     False sends the caller to a flow on the remainder.
     """
     factor = result.factor
@@ -323,19 +326,13 @@ def _factor_proves_remainder(g: BipartiteGraph, result: ApproxResult) -> bool:
     if cert.verdict is not Verdict.HAS_NMP:
         return False
     validate_certificate(tree, cert)
-    copies = factor.copies
-    if any(len(c.left_by_role) != ell or len(c.right_by_role) != L for c in copies):
+    lefts = [x for c in factor.copies for x in c.left_by_role]
+    rights = [y for c in factor.copies for y in c.right_by_role]
+    if (len(lefts), len(rights)) != (g.k - len(result.x_hat), g.n - len(result.y_hat)):
         return False
-    left = np.array([c.left_by_role for c in copies], dtype=np.int64).reshape(-1, ell)
-    right = np.array([c.right_by_role for c in copies], dtype=np.int64).reshape(-1, L)
-    for roles, deleted, size in ((left, result.x_hat, g.k), (right, result.y_hat, g.n)):
-        if not np.array_equal(np.sort(roles, axis=None), np.setdiff1d(np.arange(size), deleted.members)):
-            return False
-    tx, ty = tree.edge_arrays()
-    want = left[:, tx] * g.n + right[:, ty]
-    xs, ys = g.edge_arrays()
-    have = xs * g.n + ys  # g's edge keys, sorted
-    return bool((np.searchsorted(have, want, "right") > np.searchsorted(have, want)).all())
+    if not set(result.x_hat).isdisjoint(lefts) or not set(result.y_hat).isdisjoint(rights):
+        return False
+    return verify_tree_factor(g, factor, ell, L, require_spanning=False).ok
 
 
 def approx_nmp(g: BipartiteGraph, eps: float, mode: str = "auto") -> ApproxResult:
@@ -347,10 +344,12 @@ def approx_nmp(g: BipartiteGraph, eps: float, mode: str = "auto") -> ApproxResul
     target sizes take the highest indices, padding sets take the lowest.
     When the deletions empty a side, the result is returned unverified.
 
-    `remainder_nmp_verified` is proved, as in the paper, by the factor: its
-    disjoint T_{ell,L} copies span the remainder with edges of g, and
-    T_{ell,L} has NMP. Only when that check fails is NMP of the remainder
-    decided by `check_nmp` on it; the flag is the same either way.
+    `remainder_nmp_verified` is proved, as in the paper, by the factor:
+    `verify_tree_factor` finds its T_{ell,L} copies disjoint and made of
+    edges of g, a cover check finds that they hold exactly the kept
+    vertices, and T_{ell,L} has NMP. Only when that proof fails is NMP of
+    the remainder decided by `check_nmp` on it; the flag is the same either
+    way.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")

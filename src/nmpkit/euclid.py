@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import BipartiteGraph, Side, is_connected
+from .graph import BipartiteGraph, Side, _undirected_adjacency, is_connected
 
 
 @dataclass(frozen=True)
@@ -203,12 +203,14 @@ def verify_tree_factor(
 ) -> FactorReport:
     """Check disjointness, edge membership, and per-copy isomorphism.
 
-    Failures are reported as diagnostics, never raised.
+    Failures are reported as diagnostics, never raised. The host is asked
+    for the canonical tree's edges mapped through each copy's range-checked
+    roles, so a malformed declared edge only fails the edge-set match.
     """
     problems: list[str] = []
     if (factor.ell, factor.L) != (ell, L):
         problems.append(f"factor declares ({factor.ell}, {factor.L}), expected ({ell}, {L})")
-    canon = set(build_euclidean_tree(ell, L).graph.edges())
+    canon = list(build_euclidean_tree(ell, L).graph.edges())
     seen_left: dict[int, int] = {}
     seen_right: dict[int, int] = {}
     for c, copy in enumerate(factor.copies):
@@ -233,12 +235,10 @@ def verify_tree_factor(
             seen_right[v] = c
         if len(copy.edges) != ell + L - 1:
             problems.append(f"copy {c}: {len(copy.edges)} edges, expected {ell + L - 1}")
-        mapped = {
-            (copy.left_by_role[rx], copy.right_by_role[ry]) for rx, ry in canon
-        }
-        if mapped != set(copy.edges):
+        mapped = [(copy.left_by_role[rx], copy.right_by_role[ry]) for rx, ry in canon]
+        if set(mapped) != set(copy.edges):
             problems.append(f"copy {c}: edge set does not match the canonical tree via its role map")
-        for x, y in copy.edges:
+        for x, y in mapped:
             if not host.has_edge(x, y):
                 problems.append(f"copy {c}: edge ({x}, {y}) not present in the host graph")
     if require_spanning and not problems:
@@ -295,15 +295,7 @@ def trees_isomorphic(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
             raise ValueError("trees_isomorphic requires connected trees")
     if (g1.k, g1.n) != (g2.k, g2.n):
         return False
-
-    def union_adj(g: BipartiteGraph) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(g.k + g.n)]
-        for x, y in g.edges():
-            adj[x].append(g.k + y)
-            adj[g.k + y].append(x)
-        return adj
-
-    a1, a2 = union_adj(g1), union_adj(g2)
+    a1, a2 = _undirected_adjacency(g1), _undirected_adjacency(g2)
     c1, c2 = _tree_center(a1), _tree_center(a2)
     if len(c1) != len(c2):
         return False

@@ -691,18 +691,25 @@ def induced_subgraph(
     return sub, left_orig, right_orig
 
 
-def is_connected(g: BipartiteGraph) -> bool:
-    """True if the graph is connected as an undirected graph on X u Y: one
-    depth-first search over the ids 0..k+n-1, right vertex y being k + y."""
+def _undirected_adjacency(g: BipartiteGraph) -> list[list[int]]:
+    """g as an undirected graph on the ids 0..k+n-1, right vertex y being
+    k + y: entry v lists the neighbors of id v, in ascending order."""
     h = g.swap_sides()
     ptr = np.concatenate((g.indptr, g.edge_count + h.indptr[1:])).tolist()
-    adj = np.concatenate((g.indices + g.k, h.indices)).tolist()
+    ids = np.concatenate((g.indices + g.k, h.indices)).tolist()
+    return [ids[ptr[v]:ptr[v + 1]] for v in range(g.k + g.n)]
+
+
+def is_connected(g: BipartiteGraph) -> bool:
+    """True if the graph is connected as an undirected graph on X u Y: one
+    depth-first search over _undirected_adjacency(g)."""
+    adj = _undirected_adjacency(g)
     seen = [False] * (g.k + g.n)
     seen[0] = True
     stack = [0]
     while stack:
         v = stack.pop()
-        for w in adj[ptr[v]:ptr[v + 1]]:
+        for w in adj[v]:
             if not seen[w]:
                 seen[w] = True
                 stack.append(w)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graph import BipartiteGraph, FormatError, VertexSet
-from .nmpcheck import NMPCertificate, Verdict, check_nmp
+from .nmpcheck import NMPCertificate, Verdict, _is_int, check_nmp
 from .pseudo import gen_gnp
 from ._threads import _usable_cpus
 from .rng import ALGORITHM_ID, derive_seed
@@ -262,10 +262,7 @@ class StarSolution:
 
 
 def star_array_graph(arr: StarArray) -> BipartiteGraph:
-    edges = [
-        (i, j) for i in range(arr.k) for j in range(arr.n) if arr.stars[i][j]
-    ]
-    return BipartiteGraph.from_edges(arr.k, arr.n, edges)
+    return BipartiteGraph.from_matrix(np.array(arr.stars, dtype=bool).reshape(arr.k, arr.n))
 
 
 def solve_star_array(arr: StarArray) -> StarSolution:
@@ -300,7 +297,7 @@ def validate_star_fill(arr: StarArray, sol: StarSolution) -> None:
     for i in range(arr.k):
         for j in range(arr.n):
             v = grid[i][j]
-            if type(v) is not int and not isinstance(v, np.integer):
+            if not _is_int(v):
                 raise ValueError(f"non-integer entry {v!r} at ({i}, {j})")
             if v < 0:
                 raise ValueError(f"negative entry at ({i}, {j})")

@@ -38,7 +38,7 @@ from itertools import chain
 import numpy as np
 
 from .flow import max_flow
-from .graph import BipartiteGraph, Side, VertexSet, left_set, neighborhood
+from .graph import BipartiteGraph, Side, VertexSet, _check_side, left_set, neighborhood
 
 
 class Verdict(Enum):
@@ -198,7 +198,7 @@ def _key_pair(key, k: int, n: int) -> tuple[int, int] | None:
 
 
 def _is_int(v) -> bool:
-    """A multiplicity value must be a Python or numpy integer, not a bool."""
+    """A multiplicity or a star fill must be a Python or numpy integer, not a bool."""
     return type(v) is int or isinstance(v, np.integer)
 
 
@@ -306,8 +306,8 @@ def kleitman_independent_check(g: BipartiteGraph, pair: IndependentPair) -> bool
 
     Raises ValueError if (I_X, I_Y) is not independent in g.
     """
-    if pair.i_x.side is not Side.LEFT or pair.i_y.side is not Side.RIGHT:
-        raise ValueError("IndependentPair must be (left set, right set)")
+    _check_side(g, pair.i_x, Side.LEFT)
+    _check_side(g, pair.i_y, Side.RIGHT)
     ys = set(pair.i_y.members)
     for x in pair.i_x:
         for y in g.neighbors(x).tolist():

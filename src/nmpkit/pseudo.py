@@ -42,6 +42,7 @@ import numpy as np
 from .graph import (
     BipartiteGraph,
     VertexSet,
+    _check_sizes,
     _ranges,
     edge_count_between,
     induced_subgraph,
@@ -283,8 +284,7 @@ def gen_gnp(k: int, n: int, p: float, seed: int) -> BipartiteGraph:
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if k < 1 or n < 1:
-        raise ValueError("sides must be nonempty")
+    _check_sizes(k, n)
     seed = _seed64(seed)
     bound = math.ceil(p * 2 ** 53) << 11
     if bound == 2 ** 64:  # p = 1: every output is below

@@ -88,6 +88,17 @@ def test_extract_thrill_ratio_precondition():
         extract_thrill(g.swap_sides(), left_set(range(5)), right_set(range(3)), 2, Side.RIGHT)
 
 
+@pytest.mark.parametrize("u, v, side, message", [
+    (left_set([0, 5]), right_set(range(4)), Side.LEFT, r"vertex 5 out of range for left side \(2\)"),
+    (left_set([0, 1]), right_set([0, 1, 2, 9]), Side.LEFT, r"vertex 9 out of range for right side \(4\)"),
+    (left_set([0, 5]), right_set([0, 1]), Side.RIGHT, r"vertex 5 out of range for left side \(2\)"),
+    (right_set([0, 1]), right_set(range(4)), Side.LEFT, "expected a left-side vertex set"),
+])
+def test_extract_thrill_checks_its_vertex_sets(u, v, side, message):
+    with pytest.raises(ValueError, match=message):
+        extract_thrill(complete_graph(2, 4), u, v, 2 if side is Side.LEFT else 1, side)
+
+
 def _with_fan(thrill, i, **changes):
     fans = thrill.fans
     return dataclasses.replace(
@@ -580,7 +591,8 @@ def test_an_untampered_factor_needs_no_flow_on_the_remainder(monkeypatch):
 
 @pytest.mark.parametrize(
     "defect",
-    ["copy edge not in g", "uncovered kept vertex", "vertex in two copies", "short copy", "tree without NMP"],
+    ["copy edge not in g", "uncovered kept vertex", "vertex in two copies", "short copy",
+     "copy on a deleted vertex", "tree without NMP"],
 )
 def test_a_defective_factor_falls_back_to_the_flow(monkeypatch, defect):
     g = gen_gnp(200, 220, 0.5, 55)
@@ -599,6 +611,17 @@ def test_a_defective_factor_falls_back_to_the_flow(monkeypatch, defect):
         factor = dataclasses.replace(factor, copies=(c0, c1, *rest))
     elif defect == "short copy":
         c0 = dataclasses.replace(c0, left_by_role=c0.left_by_role[:-1])
+        factor = dataclasses.replace(factor, copies=(c0, c1, *rest))
+    elif defect == "copy on a deleted vertex":
+        # A deleted left vertex with every tree edge of role x_0 takes that
+        # role in copy 0: the sizes still match, and the copies are a valid
+        # factor in g, so only the cover check tells.
+        tree = build_euclidean_tree(factor.ell, factor.L).graph
+        ys = [c0.right_by_role[ry] for ry in tree.neighbors(0).tolist()]
+        d = next(x for x in trace.D_X if all(g.has_edge(x, y) for y in ys))
+        left = (d, *c0.left_by_role[1:])
+        edges = tuple((left[rx], c0.right_by_role[ry]) for rx, ry in tree.edges())
+        c0 = dataclasses.replace(c0, left_by_role=left, edges=edges)
         factor = dataclasses.replace(factor, copies=(c0, c1, *rest))
     else:
         # Less one edge, the tree falls into two parts whose side ratios

@@ -274,6 +274,10 @@ COPY_0_EDGES = ((0, 0), (0, 1), (1, 0), (1, 2))  # T_{2,3} on x0 x1, y0 y1 y2
      "copy 0: 5 edges, expected 4"),
     (lambda h, f: (h, _with_copy(f, 0, (0, 1), (0, 1, 2), COPY_0_EDGES[:3] + ((0, 2),))),
      "copy 0: edge set does not match the canonical tree via its role map"),
+    (lambda h, f: (h, _with_copy(f, 0, (0, 1), (0, 1, 2), COPY_0_EDGES[:3] + ((9, 0),))),
+     "copy 0: edge set does not match the canonical tree via its role map"),
+    (lambda h, f: (h, _with_copy(f, 0, (0, 1), (0, 1, 2), COPY_0_EDGES[:3] + ((1, None),))),
+     "copy 0: edge set does not match the canonical tree via its role map"),
     (lambda h, f: (BipartiteGraph.from_edges(4, 6, list(h.edges())[1:]), f),
      "copy 0: edge (0, 0) not present in the host graph"),
     (lambda h, f: (h, dataclasses.replace(f, copies=f.copies[:1])),

@@ -322,6 +322,16 @@ def test_kleitman_rejects_dependent_pair():
         kleitman_independent_check(g, IndependentPair(left_set([0]), right_set([0])))
 
 
+@pytest.mark.parametrize("pair, message", [
+    (IndependentPair(left_set([7]), right_set([])), r"vertex 7 out of range for left side \(2\)"),
+    (IndependentPair(left_set([0]), right_set([99])), r"vertex 99 out of range for right side \(4\)"),
+    (IndependentPair(right_set([0]), right_set([])), "expected a left-side vertex set"),
+])
+def test_kleitman_checks_its_vertex_sets(pair, message):
+    with pytest.raises(ValueError, match=message):
+        kleitman_independent_check(BipartiteGraph.from_edges(2, 4, []), pair)
+
+
 @given(bipartite_graphs(max_k=6, max_n=8))
 def test_kleitman_on_violation_witness(g):
     cert = check_nmp(g)

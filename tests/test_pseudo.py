@@ -117,6 +117,16 @@ def test_gnp_validates_p():
         gen_gnp(2, 2, 1.5, 0)
 
 
+def test_gnp_checks_its_sizes_before_drawing(monkeypatch):
+    # Unchecked, these sizes walk 2^80 outputs; no output may be drawn.
+    def no_draws(*args):
+        raise AssertionError("gen_gnp drew outputs before checking its sizes")
+
+    monkeypatch.setattr(pseudo, "_u64_blocks", no_draws)
+    with pytest.raises(ValueError, match="exceeds the int64"):
+        gen_gnp(2**40, 2**40, 0.0, 1)
+
+
 def test_sum_cayley_quadratic_residues_q13():
     res = gen_sum_cayley(13, 2)
     assert res.h == (1, 3, 4, 9, 10, 12)
