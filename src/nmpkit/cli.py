@@ -57,6 +57,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
+def _csv_of(convert, what: str):
+    """argparse type for a comma-separated list of values that convert reads."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(tok) for tok in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of {what}: {text!r}"
+            ) from None
+    return parse
+
+
 def _cmd_check(args) -> int:
     g = load_graph(args.graph)
     cert = check_nmp(g)
@@ -267,14 +279,13 @@ def _cmd_sweep(args) -> int:
     if (args.p_list is None) == (args.c_list is None):
         print("exactly one of --p-list / --c-list is required", file=sys.stderr)
         return 2
-    parse = lambda s: tuple(float(tok) for tok in s.split(","))
     cfg = SweepConfig(
         k=args.k,
         n=args.n,
         trials=args.trials,
         master_seed=args.seed,
-        p_grid=parse(args.p_list) if args.p_list else None,
-        c_grid=parse(args.c_list) if args.c_list else None,
+        p_grid=args.p_list,
+        c_grid=args.c_list,
     )
     rows = threshold_sweep(cfg)
     text = sweep_csv(rows, cfg, __version__)
@@ -314,10 +325,8 @@ def _cmd_greedy(args) -> int:
             f"worst_sigma={','.join(map(str, res.worst_sigma))}"
         )
         return 0
-    sigma = (
-        [int(t) for t in args.sigma.split(",")] if args.sigma else list(range(g.k))
-    )
-    pi = [int(t) for t in args.pi.split(",")] if args.pi else list(range(g.n))
+    sigma = args.sigma or list(range(g.k))
+    pi = args.pi or list(range(g.n))
     val = greedy_matching_value(g, args.r, sigma, pi, release_partial=args.release_partial)
     print(f"m_r={val} k={g.k}")
     return 0
@@ -405,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="Monte Carlo NMP probability over a grid")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p-list", metavar="a,b,c")
-    p.add_argument("--c-list", metavar="a,b,c", help="multipliers of ln(n)/k")
+    p.add_argument("--p-list", type=_csv_of(float, "numbers"), metavar="a,b,c")
+    p.add_argument("--c-list", type=_csv_of(float, "numbers"), metavar="a,b,c",
+                   help="multipliers of ln(n)/k")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", metavar="CSV")
@@ -420,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("greedy", help="greedy r-neighbor matching value")
     p.add_argument("graph")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--sigma", metavar="CSV")
-    p.add_argument("--pi", metavar="CSV")
+    p.add_argument("--sigma", type=_csv_of(int, "integers"), metavar="CSV")
+    p.add_argument("--pi", type=_csv_of(int, "integers"), metavar="CSV")
     p.add_argument("--bruteforce", action="store_true")
     p.add_argument("--release-partial", action="store_true")
     p.set_defaults(func=_cmd_greedy)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .graph import BipartiteGraph, Side, _undirected_adjacency, is_connected
+from .nmpcheck import _is_int
 
 
 @dataclass(frozen=True)
@@ -204,8 +205,9 @@ def verify_tree_factor(
     """Check disjointness, edge membership, and per-copy isomorphism.
 
     Failures are reported as diagnostics, never raised. The host is asked
-    for the canonical tree's edges mapped through each copy's range-checked
-    roles, so a malformed declared edge only fails the edge-set match.
+    for the canonical tree's edges mapped through each copy's roles, which it
+    has checked are integers in range, so a malformed declared edge only
+    fails the edge-set match.
     """
     problems: list[str] = []
     if (factor.ell, factor.L) != (ell, L):
@@ -214,6 +216,9 @@ def verify_tree_factor(
     seen_left: dict[int, int] = {}
     seen_right: dict[int, int] = {}
     for c, copy in enumerate(factor.copies):
+        if not all(map(_is_int, (*copy.left_by_role, *copy.right_by_role))):
+            problems.append(f"copy {c}: vertex is not an integer")
+            continue
         if len(copy.left_by_role) != ell or len(set(copy.left_by_role)) != ell:
             problems.append(f"copy {c}: left side is not {ell} distinct vertices")
             continue

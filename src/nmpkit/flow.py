@@ -11,16 +11,20 @@ vertex unchanged: an edge (x, y) full at min(r, c) either fills y's sink
 arc, leaving x as the only way back from y, or holds all of x's flow, making
 y the only way into x.
 
-The solver runs in three stages. A greedy pass fills the lefts in ascending
+The solver runs in two stages. A greedy pass fills the lefts in ascending
 order of degree, in the spirit of Karp and Sipser's matching heuristic: a
-left with few rights goes before the lefts that could take them. A repair
-pass then pushes along the length-3 residual paths x -> y -> x2 -> y2 from
-each left still short of r, in time linear in the edges. Hopcroft-Karp-style
-phases finish the flow: a breadth-first layering from the lefts still short,
-then a blocking flow along the shortest paths. The last layering finds no
-right with slack, and what it reaches is the minimum cut's source side. That
-side is the same for every maximum flow, so the first two stages change the
-flow the solver returns but never the cut.
+left with few rights goes before the lefts that could take them. Dinic's
+blocking-flow phases, as in Hopcroft-Karp, then push along shortest
+residual paths from the lefts still short. The first phase needs no search:
+a left the greedy pass leaves short has taken all its rights' room, so the
+layering with the short lefts and the full rights at level 0, and the other
+lefts and the rights with slack at level 1, admits exactly the paths
+x -> y -> x2 -> y2. That phase is linear in the edges, as each of its O(1)
+augmentations empties an edge or fills a left or a right for good. Every
+later phase starts with a breadth-first layering. The last one finds no
+right with slack, and what it reaches is the minimum cut's source side.
+That side is the same for every maximum flow, so the greedy pass and the
+first phase change the flow the solver returns but never the cut.
 
 Flows are Python ints, so r and c may be arbitrarily large.
 """
@@ -42,6 +46,9 @@ def max_flow(
       It is empty exactly when the flow saturates every source arc;
     - |N(S)| counts the right vertices on that source side, which are
       exactly the neighbors of S.
+
+    A greedy pass fills the lefts, then blocking-flow phases augment, the
+    first over the two-level layering the greedy pass leaves.
     """
     flow = [0] * len(indices)
     # carried[y] maps each x with flow on edge (x, y) to that edge's index.
@@ -68,7 +75,12 @@ def max_flow(
                     break
         deficit[x] = need
 
-    _repair(indptr, indices, k, flow, carried, slack, deficit)
+    # First phase, over the two-level layering the greedy pass fixed.
+    active = [x for x in range(k) if deficit[x]]
+    if active:
+        level = [0 if need else 1 for need in deficit]
+        ylevel = [1 if room else 0 for room in slack]
+        _blocking_flow(indptr, indices, active, level, ylevel, flow, carried, slack, deficit)
 
     while True:
         active = [x for x in range(k) if deficit[x]]
@@ -79,73 +91,6 @@ def max_flow(
 
     witness = [x for x in range(k) if level[x] >= 0]
     return k * r - sum(deficit), flow, witness, n - ylevel.count(-1)
-
-
-def _repair(indptr, indices, k, flow, carried, slack, deficit):
-    """Push flow along the residual paths x -> y -> x2 -> y2 of length 3.
-
-    x is deficient, (x2, y) carries flow and y2 has slack; each push moves
-    flow from (x2, y) to (x2, y2) and gives y to x. Every neighbor of a
-    deficient left is full after the greedy pass, and slack only falls
-    here: y keeps its load, y2 gains. So a right with slack never becomes
-    a middle right y, a middle right never regains slack, and an edge into
-    a middle right that loses its flow never gets it back. That makes the
-    pass linear with two marks that are never undone:
-
-    - `ptr[x2]` skips the rights of x2's row that have no slack left; a
-      left whose pointer reaches its row's end has no detour left;
-    - `cands[y]`, built on the first visit of y, holds the lefts that
-      carried flow into y then, consumed from the end; a left joining
-      carried[y] later is deficient, so it has no detour either. An empty
-      list marks y as having no detour left.
-    """
-    ptr = indptr[:-1]
-    cands: list[list[int] | None] = [None] * len(slack)
-    for x in range(k):
-        need = deficit[x]
-        if not need:
-            continue
-        lo = indptr[x]
-        for e, y in enumerate(indices[lo:indptr[x + 1]], lo):
-            down = cands[y]
-            if down is None:
-                down = cands[y] = list(carried[y])
-            elif not down:
-                continue
-            car = carried[y]
-            while down:
-                x2 = down[-1]
-                e1 = car.get(x2)
-                e2, end = ptr[x2], indptr[x2 + 1]
-                if e1 is not None and e2 < end and not slack[indices[e2]]:
-                    for e2 in range(e2 + 1, end):
-                        if slack[indices[e2]]:
-                            break
-                    else:
-                        e2 = end
-                    ptr[x2] = e2
-                if e1 is None or e2 == end:
-                    down.pop()
-                    continue
-                y2 = indices[e2]
-                b = min(need, flow[e1], slack[y2])
-                if not flow[e]:
-                    car[x] = e
-                flow[e] += b
-                flow[e1] -= b
-                if not flow[e1]:
-                    del car[x2]
-                    down.pop()
-                if not flow[e2]:
-                    carried[y2][x2] = e2
-                flow[e2] += b
-                slack[y2] -= b
-                need -= b
-                if not need:
-                    break
-            if not need:
-                break
-        deficit[x] = need
 
 
 def _layers(indptr, indices, k, n, active, carried, slack):
@@ -189,12 +134,16 @@ def _layers(indptr, indices, k, n, active, carried, slack):
 def _blocking_flow(indptr, indices, active, level, ylevel, flow, carried, slack, deficit):
     """Augment along layered paths until none is left (Dinic's blocking flow).
 
-    The walk is iterative, so path length is not limited by the recursion
-    limit. Each left keeps a pointer into its row and each right a list of
-    candidate lefts one level further from s, consumed from the end. Exhausted
-    vertices are marked dead by setting their level to -1. Arcs created by
-    an augmentation run within a level, so they never join the layered
-    graph during the phase.
+    A path steps from a left of level d to a right of level d, and back
+    along an edge carrying flow to a left of level d + 1, until it reaches a
+    right with slack. The levels come from `_layers`, or from the greedy
+    pass for the first phase. The walk is iterative, so path length is not
+    limited by the recursion limit. Each left keeps a pointer into its row
+    and each right a list of candidate lefts one level further from s,
+    consumed from the end. Exhausted vertices are marked dead by setting
+    their level to -1. Arcs created by an augmentation run within a level,
+    so they never join the layered graph during the phase. Each augmentation
+    empties an edge on its path or fills its first left or last right.
     """
     ptr = indptr[:-1]
     cands: list[list[int] | None] = [None] * len(ylevel)

@@ -9,9 +9,11 @@ edges is a multiplicity function (constant row sums n/g, constant column
 sums k/g). An unsaturated run yields a violating witness from the min cut:
 the left vertices on the source side S satisfy k*|N(S)| < n*|S|. The
 solver (`flow.max_flow`) is a greedy pass in ascending order of left
-degree, a linear repair pass along length-3 residual paths, and then
-Hopcroft-Karp-style augmenting phases; S and |N(S)| are the vertices its
-final breadth-first search reaches. That source side is the same for every
+degree, then blocking-flow phases. The first runs over the two-level
+layering the greedy pass leaves (a short left's rights are all full), so
+it takes the length-3 residual paths in linear time with no search; each
+later one over a breadth-first layering. S and |N(S)| are the vertices
+the final breadth-first search reaches. That source side is the same for every
 maximum flow, so the witness does not depend on the solver; the
 multiplicity function is one of possibly many, and may change with it. A
 vertex whose degree is below its quota (k*deg(x) < n on the left,

@@ -364,6 +364,24 @@ def test_sweep_rejects_grids_it_cannot_convert(capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("option, value, what", [
+    ("--sigma", "a,b", "integers"),
+    ("--pi", "0,1,", "integers"),
+    ("--p-list", "0.5,,0.2", "numbers"),
+    ("--c-list", "1,x", "numbers"),
+])
+def test_list_option_that_does_not_parse_is_a_usage_error(option, value, what, k23_file, capsys):
+    if option in ("--sigma", "--pi"):
+        argv = ["greedy", k23_file, "--r", "1", option, value]
+    else:
+        argv = ["sweep", "--k", "4", "--n", "4", "--trials", "2", "--seed", "1", option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: not a comma-separated list of {what}: {value!r}" in err
+
+
 @pytest.mark.parametrize("command", ["check", "star"])
 def test_file_that_is_not_utf8_is_a_format_error(command, tmp_path, capsys):
     f = tmp_path / "bad.txt"
@@ -395,3 +413,7 @@ def test_greedy_cli(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "m_r=3 k=3"
     assert main(["greedy", str(gfile), "--r", "1", "--bruteforce"]) == 0
     assert "rho=2/3" in capsys.readouterr().out
+    assert main(["greedy", str(gfile), "--r", "1", "--sigma", "0,2,1", "--pi", "1,2,0"]) == 0
+    assert capsys.readouterr().out.strip() == "m_r=2 k=3"
+    assert main(["greedy", str(gfile), "--r", "1", "--sigma", "0,0,1"]) == 1
+    assert capsys.readouterr().err == "error: sigma is not a permutation of range(3)\n"

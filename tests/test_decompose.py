@@ -82,6 +82,8 @@ def test_extract_thrill_degree_too_small():
 
 def test_extract_thrill_ratio_precondition():
     g = complete_graph(3, 6)
+    with pytest.raises(ValueError, match="fan width q must be positive"):
+        extract_thrill(g, left_set(range(3)), right_set(range(6)), 0, Side.LEFT)
     with pytest.raises(ValueError, match=r"\|V\| = q\*\|U\|"):
         extract_thrill(g, left_set(range(3)), right_set(range(5)), 2, Side.LEFT)
     with pytest.raises(ValueError, match=r"^Y-side thrill needs \|U\| = q\*\|V\|; got 5 != 2\*3$"):
@@ -510,6 +512,13 @@ def test_approx_case_a_is_one_thrill(gq):
 def test_approx_rejects_unknown_mode(mode):
     with pytest.raises(ValueError, match="unknown mode"):
         approx_nmp(complete_graph(3, 6), 0.1, mode=mode)
+
+
+def test_approx_case_b_needs_a_multiple_of_the_unit():
+    # unit = floor(0.01^0.75 * 400) = 12, and no multiple of 12 lies in
+    # [5(1 - 2*eta), 5(1 - eta)] with eta = 0.01^0.25.
+    with pytest.raises(ValueError, match=r"no multiple of 12 in \[k\(1-2\*eta\), k\(1-eta\)\]"):
+        approx_nmp(gen_gnp(5, 400, 0.5, 2), 0.01, mode="b")
 
 
 def test_approx_case_b_small():

@@ -176,6 +176,12 @@ def test_trees_isomorphic_distinguishes():
     t23 = build_euclidean_tree(2, 3).graph  # a 5-vertex path
     spider = BipartiteGraph.from_edges(2, 3, [(0, 0), (0, 1), (0, 2), (1, 0)])
     assert not trees_isomorphic(t23, spider)
+    assert not trees_isomorphic(t23, build_euclidean_tree(3, 5).graph)
+    # Diameter 4, so one center each: left 0 in the first, right 0 in the
+    # second, which is the first with its sides swapped.
+    left_centered = BipartiteGraph.from_edges(3, 3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1)])
+    right_centered = left_centered.swap_sides()
+    assert not trees_isomorphic(left_centered, right_centered)
 
 
 def test_trees_isomorphic_on_a_deep_path():
@@ -266,6 +272,12 @@ COPY_0_EDGES = ((0, 0), (0, 1), (1, 0), (1, 2))  # T_{2,3} on x0 x1, y0 y1 y2
      "copy 0: right side is not 3 distinct vertices"),
     (lambda h, f: (h, _with_copy(f, 1, (2, 4), (3, 4, 5))),
      "copy 1: vertex out of host range"),
+    (lambda h, f: (h, _with_copy(f, 0, (0.0, 1), (0, 1, 2))),
+     "copy 0: vertex is not an integer"),
+    (lambda h, f: (h, _with_copy(f, 0, ("0", 1), (0, 1, 2))),
+     "copy 0: vertex is not an integer"),
+    (lambda h, f: (h, _with_copy(f, 0, (True, 0), (0, 1, 2))),
+     "copy 0: vertex is not an integer"),
     (lambda h, f: (h, _with_copy(f, 1, (2, 0), (3, 4, 5))),
      "copies 0 and 1 share left vertex 0"),
     (lambda h, f: (h, _with_copy(f, 1, (2, 3), (3, 4, 0))),

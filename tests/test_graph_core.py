@@ -651,6 +651,15 @@ def test_duplicate_edges_rejected():
         BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 0)])
 
 
+def test_malformed_constructor_inputs_rejected():
+    with pytest.raises(ValueError, match=r"edges must be \(x, y\) pairs"):
+        BipartiteGraph.from_edges(2, 2, [(0, 0, 1)])
+    with pytest.raises(ValueError, match="vertex indices must be nonnegative"):
+        left_set([-1])
+    with pytest.raises(ValueError, match="need at least one copy"):
+        disjoint_copies(complete_graph(2, 2), 0)
+
+
 def test_sides_too_large_for_int64_edge_keys_rejected():
     with pytest.raises(ValueError, match="int64"):
         BipartiteGraph.from_edges(2**32, 2**32, [])

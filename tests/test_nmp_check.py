@@ -227,17 +227,25 @@ def test_long_augmenting_path():
     # Lefts 0..n-2 take rights i and i+1, and left n-1 rights 0 and 1: a
     # path of 2n vertices with every left of degree 2. The greedy pass goes
     # in index order, giving left i right i for i < n-1, and leaves left
-    # n-1 unfilled. The repair pass finds no detour x -> y -> x2 -> y2: the
-    # rights of left n-1 are held by lefts 0 and 1, whose rights are all
-    # full, and the only right with slack, n-1, is at the far end of the
-    # path. So one phase must push along a path through every vertex,
-    # about 10^5 arcs.
+    # n-1 unfilled. The first phase, over the greedy pass's length-3
+    # layering, finds no detour x -> y -> x2 -> y2: the rights of left n-1
+    # are held by lefts 0 and 1, whose rights are all full, and the only
+    # right with slack, n-1, is at the far end of the path. So the one
+    # breadth-first layering that finds a path must push along a path
+    # through every vertex, about 10^5 arcs.
     n = 50_000
     edges = [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)]
     g = BipartiteGraph.from_edges(n, n, edges + [(n - 1, 0), (n - 1, 1)])
-    with mock.patch("nmpkit.flow._blocking_flow", wraps=flow._blocking_flow) as phases:
+    layers, found = flow._layers, []
+
+    def recorded_layers(*args):
+        out = layers(*args)
+        found.append(out[2])
+        return out
+
+    with mock.patch("nmpkit.flow._layers", side_effect=recorded_layers):
         cert = check_nmp(g)
-    assert phases.call_count == 1
+    assert found == [True, False]
     assert cert.verdict is Verdict.HAS_NMP
     validate_certificate(g, cert)
     # The shortest path starts at right 1 and moves every left from i to i+1.
@@ -351,6 +359,11 @@ def test_witness_transfer_isolated_right():
 def test_witness_transfer_empty_graph():
     g = BipartiteGraph.from_edges(2, 2, [])
     assert witness_transfer(g, right_set([0])).members == (0, 1)
+
+
+def test_witness_transfer_rejects_a_left_set():
+    with pytest.raises(ValueError, match="witness_transfer expects a right-side set"):
+        witness_transfer(complete_graph(2, 2), left_set([0]))
 
 
 def test_witness_transfer_rejects_non_witness():

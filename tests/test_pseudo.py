@@ -153,6 +153,8 @@ def test_sum_cayley_subsets_and_errors():
     assert res.graph.k == 3 and res.graph.n == 13
     with pytest.raises(ValueError, match="not prime"):
         gen_sum_cayley(12, 2)
+    with pytest.raises(ValueError, match="q = 1 is not prime"):
+        gen_sum_cayley(1, 1)
     with pytest.raises(ValueError, match="divide"):
         gen_sum_cayley(13, 5)
     with pytest.raises(ValueError, match="outside"):
@@ -194,6 +196,8 @@ def test_pg2_q11_verifies():
 def test_pg2_rejects_non_prime():
     with pytest.raises(ValueError, match="not prime"):
         gen_pg2(9)
+    with pytest.raises(ValueError, match="q = 1 is not prime"):
+        gen_pg2(1)
 
 
 def pg2_dense(q):
@@ -699,6 +703,17 @@ def test_mixing_audit_rejects_bad_arguments(g, params, samples, form, error):
         mixing_audit(g, params, samples, 1, form=form)
 
 
+@pytest.mark.parametrize("params, form, h_size, q, error", [
+    (PseudoParams(Fraction(1, 2), 0), "spectral", None, None, "unknown bound form 'spectral'"),
+    (None, "thomason", None, None, "thomason form needs params"),
+    (None, "alon_bourgain", None, 5, "alon_bourgain form needs h_size and q"),
+    (None, "alon_bourgain", 2, None, "alon_bourgain form needs h_size and q"),
+])
+def test_mixing_deviation_rejects_bad_arguments(params, form, h_size, q, error):
+    with pytest.raises(ValueError, match=error):
+        mixing_deviation(complete_graph(3, 4), left_set([0]), right_set([0]), params, form, h_size, q)
+
+
 def mixing_check_by_fractions(e, asz, bsz, n, params, form, h_size, q):
     """The mixing check on Fractions, as the audit made it sample by sample."""
     if form == "thomason":
@@ -767,6 +782,11 @@ def test_robust_delete_pg2_11():
     assert res.p1 == Fraction(12, 133) * (1 - Fraction(0.3))
     assert float(res.eps1) == pytest.approx(4.5)
     assert res.reverify.passed
+
+
+def test_robust_delete_gives_up_after_max_attempts():
+    with pytest.raises(RuntimeError, match="no acceptable deletion set in 0 attempts"):
+        robust_delete(gen_pg2(11), Fraction(12, 133), 0, eps=0.3, d_size=3, seed=2024, max_attempts=0)
 
 
 def test_robust_delete_eta_bound():
