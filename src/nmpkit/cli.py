@@ -17,7 +17,7 @@ from .decompose import approx_nmp
 from .euclid import build_euclidean_tree, euclid_schedule
 from .graph import (
     FormatError,
-    _is_int,
+    _is_int_token,
     _read_text,
     is_connected,
     load_graph,
@@ -151,7 +151,7 @@ def _read_int_list(path: str) -> list[int]:
     values: list[int] = []
     for lineno, line in enumerate(_read_text(path).replace(",", " ").splitlines(), start=1):
         for tok in line.split():
-            if not _is_int(tok):
+            if not _is_int_token(tok):
                 raise FormatError(f"line {lineno}: not an integer: {tok!r}")
             values.append(int(tok))
     return values

@@ -13,11 +13,12 @@ extraction needs. What survives after stage m is a spanning family of
 T_{ell,L} copies of the rest of the graph, which therefore has NMP.
 
 `approx_nmp` trims both sides to index prefixes of sizes K, N and runs the
-staged factorization on the K x N prefix graph. With n much larger than k,
-K = k and N = q*k for q = floor(n/k): the reduced ratio is 1:q and the
-factorization is its one-stage T_{1,q} instance, a single q-thrill (case a).
-Otherwise K and N are chosen so that the reduced ratio L/ell is small
-(case b).
+same staged factorization on the K x N prefix of g, in place: every stage
+reads g's own rows, keeps g's vertex ids, and uses no vertex past the
+prefix. With n much larger than k, K = k and N = q*k for q = floor(n/k):
+the reduced ratio is 1:q and the factorization is its one-stage T_{1,q}
+instance, a single q-thrill (case a). Otherwise K and N are chosen so that
+the reduced ratio L/ell is small (case b).
 """
 
 from __future__ import annotations
@@ -146,16 +147,50 @@ class DecompositionTrace:
     factor: TreeFactor
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < 1:  # also refuses nan, which fails every comparison
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+
+
+def _transposed_rows(g: BipartiteGraph, rows: range, cols: int) -> BipartiteGraph:
+    """The block of g's rows `rows` and its columns [0, cols), transposed.
+
+    Vertex ids stay g's: left y of the result, for y < cols, lists its
+    neighbors in `rows`, and its right side has rows.stop vertices. The
+    rows are contiguous in the CSR, so the block is one slice of it, and
+    an empty range gives a graph without edges.
+    """
+    lo, hi = rows.start, rows.stop
+    xs = np.repeat(np.arange(lo, hi), np.diff(g.indptr[lo:hi + 1]))
+    ys = g.indices[g.indptr[lo]:g.indptr[hi]]
+    keep = ys < cols
+    keys = ys[keep] * hi + xs[keep]
+    keys.sort()
+    return BipartiteGraph._from_keys(cols, hi, keys)
+
+
 def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace:
     """Staged T_{ell,L}-factorization of all but the deleted vertex sets.
 
     Each copy is a pair of role lists (left, right) that replays
     `run_tree_process` over blocks: stage i extracts one q_i-thrill from the
     copies' anchors on the stationary side and grows every copy by the leaf
-    rule of `EuclidSchedule.leaf_anchors`. eps only sizes the reported
-    budget d0 = 2*eps*n; the greedy itself never consumes it.
+    rule of `EuclidSchedule.leaf_anchors`. eps, in (0, 1), only sizes the
+    reported budget d0 = 2*eps*n; the greedy itself never consumes it.
     """
-    k, n = g.k, g.n
+    _check_eps(eps)
+    return _decompose(g, g.k, g.n, eps)
+
+
+def _decompose(g: BipartiteGraph, k: int, n: int, eps: float) -> DecompositionTrace:
+    """`euclid_factor_decompose` of the k x n prefix of g, run on g itself.
+
+    An X-side stage extracts its thrill from g: its leaf pool is a range of
+    rights below n, and the free mask hides every other right. A Y-side
+    stage extracts from the transpose of its pool's rows, cut to the rights
+    that exist at that stage; the pools of different stages are disjoint
+    rows, so all of them together transpose at most g's edges once.
+    """
     t = math.gcd(k, n)
     ell, L = k // t, n // t
     sched = euclid_schedule(ell, L)
@@ -164,7 +199,6 @@ def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace
 
     deleted: tuple[list[int], list[int]] = ([], [])  # (left, right)
     records: list[StageRecord] = []
-    gt = None  # g.swap_sides(), built once for the Y-side stages
 
     # Stage 1 anchors the first block of its stationary side; start with one
     # single-vertex copy per anchor so every stage runs the same step.
@@ -188,9 +222,9 @@ def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace
             within = a_size * qi <= d0 and b_size <= d0
         else:
             # The Y-side thrill is the X-side one of the transpose, whose
-            # leftovers are the other way round.
-            if gt is None:
-                gt = g.swap_sides()
+            # leftovers are the other way round. The anchors are among the
+            # r_i*t rights that exist at this stage.
+            gt = _transposed_rows(g, pool, r[i] * t)
             ext = extract_thrill(gt, left_set(anchors), right_set(pool), qi, Side.LEFT)
             a_size, b_size = len(ext.B), len(ext.A)
             within = a_size <= qi * d0 and b_size <= d0
@@ -289,7 +323,7 @@ class ApproxResult:
     remainder_nmp_verified: bool
     factor: TreeFactor              # in original vertex indices
     case_b: CaseBParams | None = None
-    # The K x N prefix graph's decomposition (same indices); in case (a) it is
+    # The decomposition of the K x N prefix (g's indices); in case (a) it is
     # the one-stage T_{1,q} instance.
     trace: DecompositionTrace | None = None
 
@@ -339,8 +373,10 @@ def approx_nmp(g: BipartiteGraph, eps: float, mode: str = "auto") -> ApproxResul
     """Delete small vertex sets so that the rest of the graph has NMP.
 
     Case selection: (a) when n > k/sqrt(eps), else (b); `mode` can force
-    either. Both cases run `euclid_factor_decompose` on the K x N prefix
-    graph. Arbitrary choices are fixed deterministically: deletions to hit
+    either. Both cases run the staged factorization of
+    `euclid_factor_decompose` on the K x N prefix of g, in place: no prefix
+    graph is built, and only the Y-side stages' own blocks are transposed.
+    Arbitrary choices are fixed deterministically: deletions to hit
     target sizes take the highest indices, padding sets take the lowest.
     When the deletions empty a side, the result is returned unverified.
 
@@ -351,8 +387,7 @@ def approx_nmp(g: BipartiteGraph, eps: float, mode: str = "auto") -> ApproxResul
     the remainder decided by `check_nmp` on it; the flag is the same either
     way.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    _check_eps(eps)
     if mode not in ("auto", "a", "b"):
         raise ValueError(f"unknown mode {mode!r}")
     k, n = g.k, g.n
@@ -383,10 +418,10 @@ def approx_nmp(g: BipartiteGraph, eps: float, mode: str = "auto") -> ApproxResul
                 f"[{k * (1 - 2 * eta):.3f}, {k * (1 - eta):.3f}]"
             )
 
-    # The K x N prefix graph keeps its indices, so the trace's deletions and
-    # factor need no remapping; the trimmed suffixes join the deletions.
-    sub, _, _ = induced_subgraph(g, left_set(range(big_k)), right_set(range(big_n)))
-    trace = euclid_factor_decompose(sub, eps)
+    # The decomposition of the K x N prefix runs on g and keeps its indices,
+    # so the trace's deletions and factor need no remapping; the trimmed
+    # suffixes join the deletions.
+    trace = _decompose(g, big_k, big_n, eps)
     case_b = None
     if case == "b":
         case_b = CaseBParams(alpha=alpha, eta=eta, K=big_k, N=big_n, ell=trace.ell, L=trace.L)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import BipartiteGraph, Side, _undirected_adjacency, is_connected
-from .nmpcheck import _is_int
+from .graph import BipartiteGraph, Side, _is_int, _undirected_adjacency, is_connected
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,12 @@ def _ids(s: VertexSet) -> np.ndarray:
     return np.array(s.members, dtype=np.int64)
 
 
+def _is_int(v) -> bool:
+    """An integer value: a Python or numpy integer, not a bool, and not a
+    float or a string that would convert to one."""
+    return type(v) is int or isinstance(v, np.integer)
+
+
 def _check_sizes(k: int, n: int) -> None:
     if k < 1 or n < 1:
         raise ValueError(f"sides must be nonempty, got k={k}, n={n}")
@@ -199,11 +205,25 @@ class BipartiteGraph:
 
     @classmethod
     def from_edges(cls, k: int, n: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        pairs = np.array(list(edges), dtype=np.int64)
+        """Graph of the (x, y) pairs `edges`, given in any order.
+
+        An ndarray of an integer dtype is taken as it is, so an (E, 2) array
+        makes no Python object per edge; any other input is read pair by
+        pair, and each endpoint must pass _is_int. Raises ValueError for a
+        non-integer endpoint, and for the first edge, in input order, that
+        is out of range or repeats an earlier one.
+        """
+        if isinstance(edges, np.ndarray) and np.issubdtype(edges.dtype, np.integer):
+            pairs = edges
+        else:
+            pairs = np.array(list(edges), dtype=object)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("edges must be (x, y) pairs")
+        if pairs.dtype == object and not all(map(_is_int, pairs.flat)):
+            v = next(v for v in pairs.flat if not _is_int(v))
+            raise ValueError(f"edge endpoint {v!r} is not an integer")
         return cls._build(k, n, pairs[:, 0], pairs[:, 1])
 
     @classmethod
@@ -289,7 +309,7 @@ def _header_record(parts: list[str], line: str, lineno: int, have_header: bool) 
     raise FormatError(f"line {lineno}: unknown record {parts[0]!r}")
 
 
-def _is_int(token: str) -> bool:
+def _is_int_token(token: str) -> bool:
     try:
         int(token)
     except ValueError:
@@ -333,7 +353,7 @@ def _token_graph(k: int, n: int, xs: list[str], ys: list[str], linenos: list[int
     try:
         ax, ay = _token_ints(xs), _token_ints(ys)
     except ValueError:
-        cut = next(i for i, pair in enumerate(zip(xs, ys)) if not all(map(_is_int, pair)))
+        cut = next(i for i, pair in enumerate(zip(xs, ys)) if not all(map(_is_int_token, pair)))
         ax, ay = _token_ints(xs[:cut]), _token_ints(ys[:cut])
     g = _parsed_graph(k, n, ax, ay, xs, ys, linenos)
     if cut < len(xs):

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import BipartiteGraph, FormatError, VertexSet
-from .nmpcheck import NMPCertificate, Verdict, _is_int, check_nmp
+from .graph import BipartiteGraph, FormatError, VertexSet, _is_int
+from .nmpcheck import NMPCertificate, Verdict, check_nmp
 from .pseudo import gen_gnp
 from ._threads import _usable_cpus
 from .rng import ALGORITHM_ID, derive_seed

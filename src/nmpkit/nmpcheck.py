@@ -40,7 +40,7 @@ from itertools import chain
 import numpy as np
 
 from .flow import max_flow
-from .graph import BipartiteGraph, Side, VertexSet, _check_side, left_set, neighborhood
+from .graph import BipartiteGraph, Side, VertexSet, _check_side, _is_int, left_set, neighborhood
 
 
 class Verdict(Enum):
@@ -197,11 +197,6 @@ def _key_pair(key, k: int, n: int) -> tuple[int, int] | None:
     except TypeError:
         return None
     return min(max(x, -1), k), min(max(y, -1), n)
-
-
-def _is_int(v) -> bool:
-    """A multiplicity or a star fill must be a Python or numpy integer, not a bool."""
-    return type(v) is int or isinstance(v, np.integer)
 
 
 def _multiplicity_arrays(g: BipartiteGraph, mult: dict, cap: int):

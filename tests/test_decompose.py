@@ -27,6 +27,7 @@ from nmpkit import (
     euclid_factor_decompose,
     extract_thrill,
     gen_gnp,
+    induced_subgraph,
     left_set,
     right_set,
     verify_tree_factor,
@@ -210,16 +211,45 @@ def test_y_side_thrill_is_the_x_side_thrill_of_the_transpose(g, q, rnd):
 # ------------------------------------------------- euclid_factor_decompose
 
 
-def test_decomposition_transposes_the_graph_once():
-    # Four Y-side stages, one with leftovers of unequal sizes (2 and 1).
+def _spy_on_extract_thrill(monkeypatch):
+    """The (graph, anchors, pool) of each thrill the decomposition extracts."""
+    calls = []
+    real = decompose.extract_thrill
+
+    def spy(h, u, v, q, side):
+        calls.append((h, u, v))
+        return real(h, u, v, q, side)
+
+    monkeypatch.setattr(decompose, "extract_thrill", spy)
+    return calls
+
+
+def _block_edges(g, rows, cols):
+    """g's edges (x, y) with x in rows and y < cols."""
+    return {(x, y) for x, y in g.edges() if x in rows and y < cols}
+
+
+def test_decomposition_transposes_the_graph_once(monkeypatch):
+    # Four Y-side stages, one with leftovers of unequal sizes (2 and 1). The
+    # whole graph is never transposed: each Y-side stage transposes only its
+    # pool's rows, cut to the rights that exist at that stage, so the
+    # transposed edges add up to at most one transpose of g.
     g = gen_gnp(34, 55, 0.3, 1)
+    calls = _spy_on_extract_thrill(monkeypatch)
     real = BipartiteGraph.swap_sides
     with mock.patch.object(BipartiteGraph, "swap_sides", autospec=True, side_effect=real) as swap:
         tr = euclid_factor_decompose(g, 0.1)
     assert [(s.a_size, s.b_size) for s in tr.stages if s.anchor_side == "Y"] == [
         (2, 1), (0, 0), (0, 0), (0, 0)
     ]
-    assert [c.args[0] for c in swap.call_args_list] == [g]
+    assert swap.call_count == 0
+    y_stages = [(s, call) for s, call in zip(tr.stages, calls) if s.anchor_side == "Y"]
+    assert len(y_stages) == 4
+    for s, (h, anchors, pool) in y_stages:
+        assert h.k == tr.schedule.r[s.index] * tr.t
+        assert set(h.edges()) == {(y, x) for x, y in _block_edges(g, pool.members, h.k)}
+    assert sum(h.edge_count for _, (h, _, _) in y_stages) <= g.edge_count
+    assert all(h is g for s, (h, _, _) in zip(tr.stages, calls) if s.anchor_side == "X")
     digest = hashlib.sha256(repr((tr.stages, tr.D_X, tr.D_Y, tr.factor)).encode()).hexdigest()
     assert digest == "59ef8595711265e4e0d568df277150b8ff20a433a474537f10de34da9fa9fa8d"
 
@@ -333,6 +363,24 @@ def test_decompose_total_corruption_degrades_gracefully():
     check_trace_recurrences(tr)
     assert len(tr.factor.copies) == 0
     assert len(tr.D_X) == 16 and len(tr.D_Y) == 24
+
+
+def test_a_y_side_stage_with_an_empty_pool(monkeypatch):
+    # Right vertex 0 sees every left, no other right sees any: stage 1 (X
+    # side) fails every anchor and leaves its whole pool over, so stage 2
+    # pads the whole fresh left range and its Y-side thrill has no anchors
+    # and an empty pool.
+    g = BipartiteGraph.from_edges(24, 16, [(x, 0) for x in range(24)])
+    calls = _spy_on_extract_thrill(monkeypatch)
+    tr = euclid_factor_decompose(g, 0.1)
+    assert [s.anchor_side for s in tr.stages] == ["X", "Y"]
+    stage2 = tr.stages[1]
+    assert stage2.s_size == 16 and stage2.corrupt_copies == 0
+    h, anchors, pool = calls[1]
+    assert (len(anchors), len(pool), h.edge_count) == (0, 0, 0)
+    assert len(tr.factor.copies) == 0
+    assert len(tr.D_X) == 24 and len(tr.D_Y) == 16
+    check_trace_recurrences(tr)
 
 
 @given(
@@ -450,12 +498,14 @@ def _digest(vs):
         (
             (100, 1700, 0.4), 42, 0.3779296875,
             ("a", 1, 17, "29db0c6782dbd5000559ef4d9e953e300e2b479eed26d887ef3f92b921c06a67",
-             "cc1748949b2b2c68f4141a12892e6efaeafb675a3b92db8986773274033ecb0b", 99, (1, 17)),
+             "cc1748949b2b2c68f4141a12892e6efaeafb675a3b92db8986773274033ecb0b", 99, (1, 17),
+             "58a52f78b4eca5c60b4e83f67cbe2dc3597a3afff50fb180d655012ee60d428b"),
         ),
         (
             (200, 220, 0.5), 55, 0.01,
             ("b", 123, 94, "3d427e8fa1a0bc0a1710051ec52c1c67062398298ea1d99b52c6098570d5bf0f",
-             "e1edc020280d54dce07f603aa2f8b6a4a0b69ef14ad68f87e38e09180a44d143", 7, (11, 18)),
+             "e1edc020280d54dce07f603aa2f8b6a4a0b69ef14ad68f87e38e09180a44d143", 7, (11, 18),
+             "39aa7093f7268b8813d9b064e879ac844a0dc243fc48bea31d6492a3be1a0882"),
         ),
     ],
 )
@@ -469,8 +519,57 @@ def test_approx_outputs_are_pinned(shape, seed, eps, expected):
         _digest(res.y_hat),
         len(res.factor.copies),
         (res.factor.ell, res.factor.L),
+        # The stages, deletions and factor, pinned before the decomposition
+        # ran in place on g.
+        hashlib.sha256(repr((res.trace.stages, res.trace.D_X, res.trace.D_Y,
+                             res.factor)).encode()).hexdigest(),
     )
     assert got == expected
+
+
+@given(
+    st.integers(1, 60),
+    st.integers(1, 90),
+    st.sampled_from([0.03, 0.15, 0.5, 0.9]),
+    st.sampled_from([0.01, 0.05, 0.2, 0.5]),
+    st.sampled_from(["a", "b"]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=100)
+def test_in_place_stages_match_the_prefix_graph(k, n, p, eps, mode, seed):
+    # approx_nmp decomposes the K x N prefix on g itself; the reference is
+    # the staged factorization of the prefix graph, with every Y-side stage
+    # reading the whole transpose of that graph. p = 0.03 corrupts copies
+    # and empties whole pools.
+    g = gen_gnp(k, n, p, seed)
+    try:
+        res = approx_nmp(g, eps, mode)
+    except ValueError:
+        assume(False)  # no K x N prefix for these sizes and eps
+    tr = res.trace
+    sub, _, _ = induced_subgraph(g, left_set(range(tr.k)), right_set(range(tr.n)))
+    assert tr == euclid_factor_decompose(sub, eps)
+    whole = sub.swap_sides()
+    with mock.patch.object(decompose, "_transposed_rows", lambda h, rows, cols: whole):
+        assert tr == euclid_factor_decompose(sub, eps)
+
+
+def test_approx_builds_no_prefix_graph_and_no_transpose_of_g(monkeypatch):
+    g = gen_gnp(200, 220, 0.5, 55)
+    subgraphs = []
+
+    def spy(*args):
+        subgraphs.append(args)
+        return induced_subgraph(*args)
+
+    monkeypatch.setattr(decompose, "induced_subgraph", spy)
+    real = BipartiteGraph.swap_sides
+    with mock.patch.object(BipartiteGraph, "swap_sides", autospec=True, side_effect=real) as swap:
+        res = approx_nmp(g, 0.01)
+    assert res.remainder_nmp_verified
+    assert sum(s.anchor_side == "Y" for s in res.trace.stages) == 2
+    assert subgraphs == []
+    assert swap.call_count == 0
 
 
 @st.composite
@@ -542,6 +641,16 @@ def test_approx_rejects_bad_eps():
         approx_nmp(g, 0.0)
     with pytest.raises(ValueError):
         approx_nmp(g, 1.0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -0.1, 1.0])
+def test_decompose_rejects_bad_eps_as_approx_does(eps):
+    g = complete_graph(3, 6)
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)") as approx:
+        approx_nmp(g, eps)
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)") as staged:
+        euclid_factor_decompose(g, eps)
+    assert str(staged.value) == str(approx.value)
 
 
 def test_approx_case_a_needs_wide_graph():
@@ -640,7 +749,7 @@ def test_a_defective_factor_falls_back_to_the_flow(monkeypatch, defect):
         monkeypatch.setattr(decompose, "build_euclidean_tree",
                             lambda ell, L: dataclasses.replace(real, graph=broken))
     tampered = dataclasses.replace(trace, factor=factor)
-    monkeypatch.setattr(decompose, "euclid_factor_decompose", lambda sub, eps: tampered)
+    monkeypatch.setattr(decompose, "_decompose", lambda g, k, n, eps: tampered)
     calls = _spy_on_check_nmp(monkeypatch)
     res = approx_nmp(g, 0.01)
     assert res.factor is factor

@@ -660,6 +660,35 @@ def test_malformed_constructor_inputs_rejected():
         disjoint_copies(complete_graph(2, 2), 0)
 
 
+@pytest.mark.parametrize(
+    "edges, endpoint",
+    [
+        ([(0.5, 1)], "0.5"),
+        ([(0, 1.0)], "1.0"),
+        ([(True, 1)], "True"),
+        ([(0, "1")], "'1'"),
+        (np.array([[0.5, 1.0]]), "0.5"),
+        (np.array([[True, False]]), "True"),
+    ],
+)
+def test_from_edges_refuses_non_integer_endpoints(edges, endpoint):
+    with pytest.raises(ValueError, match=f"edge endpoint {re.escape(endpoint)} is not an integer"):
+        BipartiteGraph.from_edges(3, 3, edges)
+
+
+@given(bipartite_graphs(), st.randoms(use_true_random=False),
+       st.sampled_from([np.int64, np.int32, np.uint16]))
+def test_from_edges_takes_an_integer_array_as_its_list_of_pairs(g, rnd, dtype):
+    edges = list(g.edges())
+    rnd.shuffle(edges)
+    pairs = np.array(edges, dtype=dtype).reshape(len(edges), 2)
+    assert BipartiteGraph.from_edges(g.k, g.n, pairs) == BipartiteGraph.from_edges(g.k, g.n, edges) == g
+    if edges:
+        x, y = edges[0]
+        with pytest.raises(ValueError, match=re.escape(f"duplicate edge ({x}, {y})")):
+            BipartiteGraph.from_edges(g.k, g.n, np.vstack([pairs, pairs[:1]]))
+
+
 def test_sides_too_large_for_int64_edge_keys_rejected():
     with pytest.raises(ValueError, match="int64"):
         BipartiteGraph.from_edges(2**32, 2**32, [])
