@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from .graph import (
     Side,
     VertexSet,
     _check_side,
+    _ids,
     induced_subgraph,
     left_set,
     right_set,
@@ -69,6 +71,56 @@ class ThrillExtraction:
     B: VertexSet
 
 
+def _greedy_thrill(
+    g: BipartiteGraph, anchors: np.ndarray, pool: np.ndarray, q: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The greedy of `extract_thrill` on left anchors and a right leaf pool,
+    both sorted int64 arrays: (the anchors that got a fan, their (fans, q)
+    leaf matrix, the failed anchors, the pool's leftover), as int64 arrays.
+
+    Low leaves go first, so the claimed ones pile up at the bottom of the
+    pool. Each anchor therefore starts at the lowest free leaf, found by a
+    bisection of its sorted row, and reads the row from there through a
+    memoryview up to its q-th free leaf: a few entries per anchor, no
+    per-anchor numpy call, and no Python object per fan.
+    """
+    # free[g.n] is a sentinel past the pool that no row holds.
+    free = bytearray(g.n + 1)
+    np.frombuffer(free, dtype=bool)[pool] = True
+    free[g.n] = 1
+    ids = pool.tolist() + [g.n]
+    lowest = 0
+    ptr = g.indptr.tolist()
+    row = memoryview(np.ascontiguousarray(g.indices, dtype=np.int64))
+    fanned: list[int] = []
+    leaves: list[int] = []
+    failed: list[int] = []
+    for a in anchors.tolist():
+        while not free[ids[lowest]]:
+            lowest += 1
+        stop = ptr[a + 1]
+        start = bisect_left(row, ids[lowest], ptr[a], stop)
+        picked = []
+        for y in row[start:stop]:
+            if free[y]:
+                picked.append(y)
+                if len(picked) == q:
+                    break
+        if len(picked) == q:
+            for y in picked:
+                free[y] = 0
+            fanned.append(a)
+            leaves.extend(picked)
+        else:
+            failed.append(a)
+    return (
+        np.array(fanned, dtype=np.int64),
+        np.array(leaves, dtype=np.int64).reshape(len(fanned), q),
+        np.array(failed, dtype=np.int64),
+        pool[np.frombuffer(free, dtype=bool)[pool]],
+    )
+
+
 def extract_thrill(
     g: BipartiteGraph, u: VertexSet, v: VertexSet, q: int, side: Side
 ) -> ThrillExtraction:
@@ -77,7 +129,9 @@ def extract_thrill(
     skipped for good (availability only shrinks, so one pass is maximal).
 
     The Y side is the X side of g.swap_sides(), with anchors v and leaf pool
-    u; its two leftovers are then exchanged, so A stays the left one.
+    u; its two leftovers are then exchanged, so A stays the left one. The
+    greedy is `_greedy_thrill`, whose arrays are wrapped here in Fan and
+    Thrill objects and checked by Thrill.validate.
     """
     _check_side(g, u, Side.LEFT)
     _check_side(g, v, Side.RIGHT)
@@ -90,22 +144,14 @@ def extract_thrill(
     if len(leaves) != q * len(anchors):
         raise ValueError(f"{need}; got {len(leaves)} != {q}*{len(anchors)}")
 
-    pool = np.array(leaves.members, dtype=np.int64)
-    free = np.zeros(g.n, dtype=bool)
-    free[pool] = True
-    fans: list[Fan] = []
-    failed: list[int] = []
-    for a in anchors:
-        cand = g.neighbors(a)
-        picked = cand[free[cand]][:q]  # rows are sorted: the q lowest free
-        if len(picked) == q:
-            free[picked] = False
-            fans.append(Fan(anchor_side=side, anchor=a, leaves=tuple(picked.tolist())))
-        else:
-            failed.append(a)
-    leftover = pool[free[pool]].tolist()
-    thrill = Thrill(side=side, q=q, fans=tuple(fans))
+    fanned, fan_leaves, failed, leftover = _greedy_thrill(g, _ids(anchors), _ids(leaves), q)
+    fans = tuple(
+        Fan(anchor_side=side, anchor=a, leaves=tuple(ys))
+        for a, ys in zip(fanned.tolist(), fan_leaves.tolist())
+    )
+    thrill = Thrill(side=side, q=q, fans=fans)
     thrill.validate()
+    failed, leftover = failed.tolist(), leftover.tolist()
     if side is Side.RIGHT:
         failed, leftover = leftover, failed
     return ThrillExtraction(side=side, q=q, thrill=thrill, A=left_set(failed), B=right_set(leftover))
@@ -172,24 +218,43 @@ def _transposed_rows(g: BipartiteGraph, rows: range, cols: int) -> BipartiteGrap
 def euclid_factor_decompose(g: BipartiteGraph, eps: float) -> DecompositionTrace:
     """Staged T_{ell,L}-factorization of all but the deleted vertex sets.
 
-    Each copy is a pair of role lists (left, right) that replays
-    `run_tree_process` over blocks: stage i extracts one q_i-thrill from the
-    copies' anchors on the stationary side and grows every copy by the leaf
-    rule of `EuclidSchedule.leaf_anchors`. eps, in (0, 1), only sizes the
-    reported budget d0 = 2*eps*n; the greedy itself never consumes it.
+    The copies are two int64 role matrices, one row per copy (left roles,
+    right roles), that replay `run_tree_process` over blocks: stage i
+    extracts one q_i-thrill from the copies' anchors on the stationary side
+    and grows every copy by the leaf rule of `EuclidSchedule.leaf_anchors`.
+    eps, in (0, 1), only sizes the reported budget d0 = 2*eps*n; the greedy
+    itself never consumes it.
     """
     _check_eps(eps)
     return _decompose(g, g.k, g.n, eps)
 
 
+def _check_thrill(i: int, fanned: np.ndarray, leaves: np.ndarray, q: int) -> None:
+    """The thrill of stage i has q leaves per fan, distinct anchors and
+    distinct leaves, or the copies it grows would not be trees."""
+    if leaves.shape != (len(fanned), q):
+        raise DecompositionInvariantError(
+            f"stage {i}: fan leaves of shape {leaves.shape}, not {(len(fanned), q)}"
+        )
+    for name, ids in (("anchor", fanned), ("leaf", leaves)):
+        ids = np.sort(ids, axis=None)
+        reused = ids[1:][ids[1:] == ids[:-1]]
+        if len(reused):
+            raise DecompositionInvariantError(f"stage {i}: {name} {reused[0]} reused")
+
+
 def _decompose(g: BipartiteGraph, k: int, n: int, eps: float) -> DecompositionTrace:
     """`euclid_factor_decompose` of the k x n prefix of g, run on g itself.
 
-    An X-side stage extracts its thrill from g: its leaf pool is a range of
-    rights below n, and the free mask hides every other right. A Y-side
-    stage extracts from the transpose of its pool's rows, cut to the rights
-    that exist at that stage; the pools of different stages are disjoint
-    rows, so all of them together transpose at most g's edges once.
+    roles[side] holds one row per surviving copy: the host vertex of each
+    of that side's roles. An X-side stage extracts its thrill from g: its
+    leaf pool is a range of rights below n, and the greedy reads no right
+    outside it. A Y-side stage extracts from the transpose of its pool's
+    rows, cut to the rights that exist at that stage; the pools of
+    different stages are disjoint rows, so all of them together transpose
+    at most g's edges once. A stage then drops the corrupt copies' rows by
+    one mask and appends the fans' leaves to the growing side's roles by
+    one gather, transpose and reshape.
     """
     t = math.gcd(k, n)
     ell, L = k // t, n // t
@@ -202,7 +267,9 @@ def _decompose(g: BipartiteGraph, k: int, n: int, eps: float) -> DecompositionTr
 
     # Stage 1 anchors the first block of its stationary side; start with one
     # single-vertex copy per anchor so every stage runs the same step.
-    copies = [([v], []) if sched.grows_right(1) else ([], [v]) for v in range(t)]
+    first = np.arange(t, dtype=np.int64).reshape(t, 1)
+    empty = np.empty((t, 0), dtype=np.int64)
+    roles = [first, empty] if sched.grows_right(1) else [empty, first]
 
     for i in range(1, sched.m + 1):
         grow_right = sched.grows_right(i)
@@ -215,46 +282,48 @@ def _decompose(g: BipartiteGraph, k: int, n: int, eps: float) -> DecompositionTr
         padding = range(fresh_lo, fresh_lo + s_need)
         pool = range(fresh_lo + s_need, fresh_hi)
 
-        anchors = sorted(h for c in copies for h in c[a])
+        # The Y-side thrill is the X-side one of the transpose, whose anchors
+        # are among the r_i*t rights that exist at this stage.
+        h = g if grow_right else _transposed_rows(g, pool, r[i] * t)
+        stat = roles[a]
+        fanned, leaves, failed, leftover = _greedy_thrill(
+            h, np.sort(stat, axis=None), np.arange(pool.start, pool.stop, dtype=np.int64), qi
+        )
+        _check_thrill(i, fanned, leaves, qi)
         if grow_right:
-            ext = extract_thrill(g, left_set(anchors), right_set(pool), qi, Side.LEFT)
-            a_size, b_size = len(ext.A), len(ext.B)
+            a_size, b_size = len(failed), len(leftover)
             within = a_size * qi <= d0 and b_size <= d0
         else:
-            # The Y-side thrill is the X-side one of the transpose, whose
-            # leftovers are the other way round. The anchors are among the
-            # r_i*t rights that exist at this stage.
-            gt = _transposed_rows(g, pool, r[i] * t)
-            ext = extract_thrill(gt, left_set(anchors), right_set(pool), qi, Side.LEFT)
-            a_size, b_size = len(ext.B), len(ext.A)
+            a_size, b_size = len(leftover), len(failed)
             within = a_size <= qi * d0 and b_size <= d0
-        failed, leftover = set(ext.A), ext.B
-        fan_of = {f.anchor: f.leaves for f in ext.thrill.fans}
-        leaf_anchors = sched.leaf_anchors(i)
 
-        # A copy with a failed anchor is corrupt: it is deleted at once, with
-        # the fresh leaves its other anchors claimed, and never grown.
-        survivors = []
-        corrupt = ([], [])
-        for c in copies:
-            if failed.isdisjoint(c[a]):
-                fans = [iter(fan_of[h]) for h in c[a]]
-                c[b].extend([next(fans[j]) for j in leaf_anchors])
-                survivors.append(c)
-            else:
-                corrupt[a].extend(c[a])
-                corrupt[b].extend(c[b])
-                corrupt[b].extend(y for h in c[a] if h not in failed for y in fan_of[h])
-        corrupt_copies = len(copies) - len(survivors)
-        copies = survivors
+        # fan[c, j] is the thrill row of copy c's stationary role j, -1 for a
+        # failed anchor. A copy with a failed anchor is corrupt: it is deleted
+        # at once, with the fresh leaves its other anchors claimed, and never
+        # grown.
+        fan_row = np.full(h.k, -1, dtype=np.int64)
+        fan_row[fanned] = np.arange(len(fanned))
+        fan = fan_row[stat]
+        keep = (fan >= 0).all(axis=1)
+        claimed = fan[~keep]
+        corrupt: list[list[int]] = [[], []]
+        corrupt[a] = stat[~keep].ravel().tolist()
+        corrupt[b] = roles[b][~keep].ravel().tolist() + leaves[claimed[claimed >= 0]].ravel().tolist()
+        # New leaf s takes growing role r_{i-1} + s and hangs off stationary
+        # role s mod r_i (EuclidSchedule.leaf_anchors), as leaf s // r_i of
+        # that role's fan: the (copies, r_i, q_i) block of fan leaves,
+        # transposed to (copies, q_i, r_i).
+        grown = leaves[fan[keep]].transpose(0, 2, 1).reshape(-1, qi * r[i])
+        roles[a] = stat[keep]
+        roles[b] = np.concatenate((roles[b][keep], grown), axis=1)
         deleted[0].extend(corrupt[0])
         deleted[1].extend(corrupt[1])
         deleted[b].extend(padding)
-        deleted[b].extend(leftover.members)
+        deleted[b].extend(leftover.tolist())
 
         # Every active vertex is in a surviving copy or deleted, never both.
         for side, (active, name) in enumerate(zip(sched.shape(i), ("left", "right"))):
-            if sum(len(c[side]) for c in copies) + len(deleted[side]) != t * active:
+            if roles[side].size + len(deleted[side]) != t * active:
                 raise DecompositionInvariantError(f"stage {i}: {name} conservation broken")
 
         records.append(
@@ -265,7 +334,7 @@ def _decompose(g: BipartiteGraph, k: int, n: int, eps: float) -> DecompositionTr
                 s_size=s_need,
                 a_size=a_size,
                 b_size=b_size,
-                corrupt_copies=corrupt_copies,
+                corrupt_copies=int(np.count_nonzero(~keep)),
                 corrupt_x=len(corrupt[0]),
                 corrupt_y=len(corrupt[1]),
                 d_x=len(deleted[0]),
@@ -274,14 +343,12 @@ def _decompose(g: BipartiteGraph, k: int, n: int, eps: float) -> DecompositionTr
             )
         )
 
-    canon_edges = list(build_euclidean_tree(ell, L).graph.edges())
+    lefts, rights = roles
+    canon_x, canon_y = build_euclidean_tree(ell, L).graph.edge_arrays()
+    edges = np.stack((lefts[:, canon_x], rights[:, canon_y]), axis=2)
     factor_copies = tuple(
-        TreeCopy(
-            left_by_role=tuple(left),
-            right_by_role=tuple(right),
-            edges=tuple((left[rx], right[ry]) for rx, ry in canon_edges),
-        )
-        for left, right in copies
+        TreeCopy(left_by_role=tuple(left), right_by_role=tuple(right), edges=tuple(map(tuple, pairs)))
+        for left, right, pairs in zip(lefts.tolist(), rights.tolist(), edges.tolist())
     )
     d_x_set = left_set(deleted[0])
     d_y_set = right_set(deleted[1])

@@ -12,8 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import attrgetter
 
-from .graph import BipartiteGraph, Side, _is_int, _undirected_adjacency, is_connected
+import numpy as np
+
+from .graph import (
+    _INT64_MAX,
+    BipartiteGraph,
+    Side,
+    _is_int,
+    _row_search,
+    _undirected_adjacency,
+    is_connected,
+)
 
 
 @dataclass(frozen=True)
@@ -194,6 +206,74 @@ class FactorReport:
     problems: tuple[str, ...]
 
 
+def _int_rows(rows: list, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """rows as an int64 (len(rows), width) matrix, and a mask of the rows
+    that are `width` integers (in _is_int's sense) within int64; any other
+    row reads as zeros. The values are read in one C-level pass unless one
+    of them is not such an integer, and only then row by row."""
+    ok = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) == width
+    mat = np.zeros((len(rows), width), dtype=np.int64)
+    flat = list(chain.from_iterable(compress(rows, ok)))
+    if all(t is int or issubclass(t, np.integer) for t in set(map(type, flat))):
+        try:
+            mat[ok] = np.array(flat, dtype=np.int64).reshape(-1, width)
+            return mat, ok
+        except OverflowError:
+            pass
+    for i in np.flatnonzero(ok):
+        ok[i] = all(_is_int(v) and -_INT64_MAX - 1 <= v <= _INT64_MAX for v in rows[i])
+    mat[ok] = np.array(list(compress(rows, ok)), dtype=np.int64).reshape(-1, width)
+    return mat, ok
+
+
+def _suspect_copies(host: BipartiteGraph, copies, ell: int, L: int, canon) -> list[int]:
+    """The indices of the copies that the per-copy rules of
+    `verify_tree_factor` could object to, or that share a vertex with
+    another copy; every other copy is valid and disjoint from the rest.
+
+    The roles are stacked into (copies, ell) and (copies, L) matrices, the
+    declared edges into one (edges, 2) matrix, and every rule is checked on
+    all copies at once: sizes and integer values, distinct roles, ranges,
+    shared vertices (one np.bincount per side over the copies that pass
+    those), the declared edges against the canonical ones through the roles
+    (sorted key rows), and the host's edges (one graph._row_search).
+    """
+    e = len(canon[0])
+    lefts, ok_l = _int_rows(list(map(attrgetter("left_by_role"), copies)), ell)
+    rights, ok_r = _int_rows(list(map(attrgetter("right_by_role"), copies)), L)
+    good = ok_l & ok_r
+    for roles, bound in ((lefts, host.k), (rights, host.n)):
+        ordered = np.sort(roles, axis=1)
+        good &= (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+        good &= (ordered[:, 0] >= 0) & (ordered[:, -1] < bound)
+    clean = good.copy()
+    for roles, bound in ((lefts, host.k), (rights, host.n)):
+        roles[~good] = 0
+        held = np.bincount(roles[good].ravel(), minlength=bound)
+        clean &= (held[roles] <= 1).all(axis=1)
+
+    # The declared edges of the copies with e of them, as sorted key rows.
+    edge_lists = list(map(attrgetter("edges"), copies))
+    sized = np.fromiter(map(len, edge_lists), dtype=np.int64, count=len(copies)) == e
+    pairs = list(chain.from_iterable(compress(edge_lists, sized)))
+    if not set(map(type, pairs)) <= {tuple}:  # another pair need not hash as its ends do
+        pairs = [p if type(p) is tuple else () for p in pairs]
+    declared, ok_e = _int_rows(pairs, 2)
+    xs, ys = declared.T
+    ok_e &= (xs >= 0) & (xs < host.k) & (ys >= 0) & (ys < host.n)
+    declared[~ok_e] = 0
+    keys = np.zeros((len(copies), e), dtype=np.int64)
+    keys[sized] = (xs * host.n + ys).reshape(-1, e)
+    clean &= sized
+    clean[sized] &= ok_e.reshape(-1, e).all(axis=1)
+
+    mapped_x, mapped_y = lefts[:, canon[0]], rights[:, canon[1]]
+    clean &= (np.sort(keys, axis=1) == np.sort(mapped_x * host.n + mapped_y, axis=1)).all(axis=1)
+    on_host = _row_search(host, mapped_x[clean].ravel(), mapped_y[clean].ravel())[1]
+    clean[clean] = on_host.reshape(-1, e).all(axis=1)
+    return np.flatnonzero(~clean).tolist()
+
+
 def verify_tree_factor(
     host: BipartiteGraph,
     factor: TreeFactor,
@@ -203,18 +283,23 @@ def verify_tree_factor(
 ) -> FactorReport:
     """Check disjointness, edge membership, and per-copy isomorphism.
 
-    Failures are reported as diagnostics, never raised. The host is asked
-    for the canonical tree's edges mapped through each copy's roles, which it
-    has checked are integers in range, so a malformed declared edge only
-    fails the edge-set match.
+    Failures are reported as diagnostics, never raised. All copies are
+    screened at once on int64 role matrices (`_suspect_copies`): a copy
+    that passes is valid and shares no vertex, so only the copies that do
+    not are checked one by one, in order, by the rules that word every
+    problem. There the host is asked for the canonical tree's edges mapped
+    through each copy's roles, which it has checked are integers in range,
+    so a malformed declared edge only fails the edge-set match.
     """
     problems: list[str] = []
     if (factor.ell, factor.L) != (ell, L):
         problems.append(f"factor declares ({factor.ell}, {factor.L}), expected ({ell}, {L})")
-    canon = list(build_euclidean_tree(ell, L).graph.edges())
+    canon_x, canon_y = build_euclidean_tree(ell, L).graph.edge_arrays()
+    canon = list(zip(canon_x.tolist(), canon_y.tolist()))
     seen_left: dict[int, int] = {}
     seen_right: dict[int, int] = {}
-    for c, copy in enumerate(factor.copies):
+    for c in _suspect_copies(host, factor.copies, ell, L, (canon_x, canon_y)):
+        copy = factor.copies[c]
         if not all(map(_is_int, (*copy.left_by_role, *copy.right_by_role))):
             problems.append(f"copy {c}: vertex is not an integer")
             continue
@@ -246,10 +331,12 @@ def verify_tree_factor(
             if not host.has_edge(x, y):
                 problems.append(f"copy {c}: edge ({x}, {y}) not present in the host graph")
     if require_spanning and not problems:
-        if len(seen_left) != host.k or len(seen_right) != host.n:
+        # No problem: every copy holds ell + L distinct vertices of its own.
+        covered_left, covered_right = ell * len(factor.copies), L * len(factor.copies)
+        if covered_left != host.k or covered_right != host.n:
             problems.append(
-                f"copies cover {len(seen_left)}/{host.k} left and "
-                f"{len(seen_right)}/{host.n} right vertices; not spanning"
+                f"copies cover {covered_left}/{host.k} left and "
+                f"{covered_right}/{host.n} right vertices; not spanning"
             )
     return FactorReport(ok=not problems, problems=tuple(problems))
 

@@ -133,6 +133,17 @@ def _is_int(v) -> bool:
     return type(v) is int or isinstance(v, np.integer)
 
 
+def _clipped(col: np.ndarray, bound: int) -> np.ndarray:
+    """An integer column as int64, each value below 0 read as -1 and each
+    one above bound as bound, so that a value past int64 stays out of range
+    instead of wrapping round or overflowing."""
+    if col.dtype == object:
+        col = np.clip(col, -1, bound)
+    elif col.dtype == np.uint64:
+        col = np.minimum(col, max(bound, 0))
+    return np.asarray(col, dtype=np.int64)
+
+
 def _check_sizes(k: int, n: int) -> None:
     if k < 1 or n < 1:
         raise ValueError(f"sides must be nonempty, got k={k}, n={n}")
@@ -149,6 +160,32 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     out = np.repeat(starts - (np.cumsum(lens) - lens), lens)
     out += np.arange(len(out))
     return out
+
+
+def _row_search(g: BipartiteGraph, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """For each query i, the position in g.indices at which ys[i] is, or
+    would be inserted, in the sorted row of left vertex xs[i]; and whether
+    the edge (xs[i], ys[i]) is there.
+
+    One binary search per query, all queries at once: each step halves
+    every query's range within its own row, so there are as many steps as
+    the longest queried row has bits, and edges outside the queried rows
+    are never read. xs must be left vertices of g; ys may be any integers.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    lo, end = g.indptr[xs], g.indptr[xs + 1]
+    hi = end
+    for _ in range(int((end - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        # mid < hi keeps an empty range as it is, and keeps mid in bounds.
+        right = mid < hi
+        right &= g.indices[np.minimum(mid, len(g.indices) - 1)] < ys
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    found = lo < end
+    found[found] = g.indices[lo[found]] == ys[found]
+    return lo, found
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +248,9 @@ class BipartiteGraph:
         makes no Python object per edge; any other input is read pair by
         pair, and each endpoint must pass _is_int. Raises ValueError for a
         non-integer endpoint, and for the first edge, in input order, that
-        is out of range or repeats an earlier one.
+        is out of range or repeats an earlier one, named as it was given:
+        an endpoint past int64 (a uint64 value, or a Python int) is out of
+        range like any other.
         """
         if isinstance(edges, np.ndarray) and np.issubdtype(edges.dtype, np.integer):
             pairs = edges
@@ -224,7 +263,12 @@ class BipartiteGraph:
         if pairs.dtype == object and not all(map(_is_int, pairs.flat)):
             v = next(v for v in pairs.flat if not _is_int(v))
             raise ValueError(f"edge endpoint {v!r} is not an integer")
-        return cls._build(k, n, pairs[:, 0], pairs[:, 1])
+        xs, ys = pairs[:, 0], pairs[:, 1]
+        try:
+            return cls._build(k, n, _clipped(xs, k), _clipped(ys, n))
+        except _BadEdge as exc:
+            i = exc.index
+            raise _BadEdge(i, exc.kind, xs[i], ys[i], k, n) from None
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray) -> "BipartiteGraph":

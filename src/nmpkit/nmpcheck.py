@@ -40,7 +40,16 @@ from itertools import chain
 import numpy as np
 
 from .flow import max_flow
-from .graph import BipartiteGraph, Side, VertexSet, _check_side, _is_int, left_set, neighborhood
+from .graph import (
+    BipartiteGraph,
+    Side,
+    VertexSet,
+    _check_side,
+    _is_int,
+    _row_search,
+    left_set,
+    neighborhood,
+)
 
 
 class Verdict(Enum):
@@ -154,7 +163,7 @@ def validate_certificate(g: BipartiteGraph, cert: NMPCertificate) -> None:
 
     Independent of the flow solver: only sums and the witness inequality.
     A multiplicity is read into arrays in one pass, its keys are looked up
-    in g's sorted edge keys, and its sums are taken with np.add.at; a
+    in g's rows all at once, and its sums are taken with np.add.at; a
     defective entry is named as the first one in dict order.
     """
     d = math.gcd(g.k, g.n)
@@ -204,11 +213,11 @@ def _multiplicity_arrays(g: BipartiteGraph, mult: dict, cap: int):
     int64 arrays in dict order, each value clipped to at most cap.
 
     Raises ValueError for the first entry, in dict order, that is not an
-    integer >= 0 on an edge of g. The keys are looked up in g's sorted edge
-    keys x*n + y, without the solver. A dict whose keys are tuples of two
-    integers and whose values are integers, all within int64, is read by
-    np.fromiter in one pass over its keys and one over its values; any other
-    dict is read entry by entry.
+    integer >= 0 on an edge of g. The keys are looked up in g's rows by one
+    batched binary search (graph._row_search), without the solver. A dict
+    whose keys are tuples of two integers and whose values are integers,
+    all within int64, is read by np.fromiter in one pass over its keys and
+    one over its values; any other dict is read entry by entry.
     """
     keys, vals = list(mult), list(mult.values())
     m = len(keys)
@@ -232,10 +241,9 @@ def _multiplicity_arrays(g: BipartiteGraph, mult: dict, cap: int):
                       dtype=np.int64)
     xs, ys, ms = np.clip(xs, -1, g.k), np.clip(ys, -1, g.n), np.clip(ms, -1, cap)
 
-    wanted = np.where((xs >= 0) & (xs < g.k) & (ys >= 0) & (ys < g.n), xs * g.n + ys, -1)
-    edge_xs, edge_ys = g.edge_arrays()
-    edge_keys = np.append(edge_xs * g.n + edge_ys, np.iinfo(np.int64).max)
-    on_edge = edge_keys[np.searchsorted(edge_keys, wanted)] == wanted
+    # A right end of -1 or n is in no row; a left end of -1 or k asks row 0.
+    on_edge = (xs >= 0) & (xs < g.k)
+    on_edge &= _row_search(g, np.where(on_edge, xs, 0), ys)[1]
     bad = ~on_edge | ~is_int | (ms < 0)
     if bad.any():
         i = int(np.argmax(bad))

@@ -17,6 +17,8 @@ from nmpkit import (
     BipartiteGraph,
     DecompositionInvariantError,
     Side,
+    TreeCopy,
+    TreeFactor,
     Verdict,
     approx_nmp,
     approx_remainder,
@@ -25,6 +27,7 @@ from nmpkit import (
     disjoint_copies,
     estimate_thomason_params,
     euclid_factor_decompose,
+    euclid_schedule,
     extract_thrill,
     gen_gnp,
     induced_subgraph,
@@ -211,16 +214,17 @@ def test_y_side_thrill_is_the_x_side_thrill_of_the_transpose(g, q, rnd):
 # ------------------------------------------------- euclid_factor_decompose
 
 
-def _spy_on_extract_thrill(monkeypatch):
-    """The (graph, anchors, pool) of each thrill the decomposition extracts."""
+def _spy_on_greedy_thrill(monkeypatch):
+    """The (graph, anchors, pool) of each thrill the decomposition extracts,
+    with the anchors and the pool as vertex sets."""
     calls = []
-    real = decompose.extract_thrill
+    real = decompose._greedy_thrill
 
-    def spy(h, u, v, q, side):
-        calls.append((h, u, v))
-        return real(h, u, v, q, side)
+    def spy(h, anchors, pool, q):
+        calls.append((h, left_set(anchors.tolist()), right_set(pool.tolist())))
+        return real(h, anchors, pool, q)
 
-    monkeypatch.setattr(decompose, "extract_thrill", spy)
+    monkeypatch.setattr(decompose, "_greedy_thrill", spy)
     return calls
 
 
@@ -235,7 +239,7 @@ def test_decomposition_transposes_the_graph_once(monkeypatch):
     # pool's rows, cut to the rights that exist at that stage, so the
     # transposed edges add up to at most one transpose of g.
     g = gen_gnp(34, 55, 0.3, 1)
-    calls = _spy_on_extract_thrill(monkeypatch)
+    calls = _spy_on_greedy_thrill(monkeypatch)
     real = BipartiteGraph.swap_sides
     with mock.patch.object(BipartiteGraph, "swap_sides", autospec=True, side_effect=real) as swap:
         tr = euclid_factor_decompose(g, 0.1)
@@ -371,7 +375,7 @@ def test_a_y_side_stage_with_an_empty_pool(monkeypatch):
     # pads the whole fresh left range and its Y-side thrill has no anchors
     # and an empty pool.
     g = BipartiteGraph.from_edges(24, 16, [(x, 0) for x in range(24)])
-    calls = _spy_on_extract_thrill(monkeypatch)
+    calls = _spy_on_greedy_thrill(monkeypatch)
     tr = euclid_factor_decompose(g, 0.1)
     assert [s.anchor_side for s in tr.stages] == ["X", "Y"]
     stage2 = tr.stages[1]
@@ -381,6 +385,78 @@ def test_a_y_side_stage_with_an_empty_pool(monkeypatch):
     assert len(tr.factor.copies) == 0
     assert len(tr.D_X) == 24 and len(tr.D_Y) == 16
     check_trace_recurrences(tr)
+
+
+def decompose_reference(g, eps):
+    """euclid_factor_decompose as a loop over per-copy role lists, with one
+    extract_thrill per stage on all of g: its form before the copies were
+    role matrices grown by the greedy's arrays."""
+    t = math.gcd(g.k, g.n)
+    ell, L = g.k // t, g.n // t
+    sched = euclid_schedule(ell, L)
+    r, d0 = sched.r, 2.0 * eps * g.n
+    deleted, records = ([], []), []
+    copies = [([v], []) if sched.grows_right(1) else ([], [v]) for v in range(t)]
+    for i in range(1, sched.m + 1):
+        grow_right = sched.grows_right(i)
+        a, b = (0, 1) if grow_right else (1, 0)
+        qi = sched.q[i - 1]
+        fresh_lo, fresh_hi = r[i - 1] * t, r[i + 1] * t
+        s_need = qi * len(deleted[a])
+        pool = range(fresh_lo + s_need, fresh_hi)
+        anchors = sorted(h for c in copies for h in c[a])
+        if grow_right:
+            ext = extract_thrill(g, left_set(anchors), right_set(pool), qi, Side.LEFT)
+            failed, leftover = set(ext.A), ext.B
+            a_size, b_size = len(ext.A), len(ext.B)
+            within = a_size * qi <= d0 and b_size <= d0
+        else:
+            ext = extract_thrill(g, left_set(pool), right_set(anchors), qi, Side.RIGHT)
+            failed, leftover = set(ext.B), ext.A
+            a_size, b_size = len(ext.A), len(ext.B)
+            within = a_size <= qi * d0 and b_size <= d0
+        fan_of = {f.anchor: f.leaves for f in ext.thrill.fans}
+        survivors, corrupt = [], ([], [])
+        for c in copies:
+            if failed.isdisjoint(c[a]):
+                fans = [iter(fan_of[h]) for h in c[a]]
+                c[b].extend([next(fans[j]) for j in sched.leaf_anchors(i)])
+                survivors.append(c)
+            else:
+                corrupt[a].extend(c[a])
+                corrupt[b].extend(c[b])
+                corrupt[b].extend(y for h in c[a] if h not in failed for y in fan_of[h])
+        corrupt_copies, copies = len(copies) - len(survivors), survivors
+        deleted[0].extend(corrupt[0])
+        deleted[1].extend(corrupt[1])
+        deleted[b].extend(range(fresh_lo, fresh_lo + s_need))
+        deleted[b].extend(leftover.members)
+        records.append(decompose.StageRecord(
+            i, "X" if grow_right else "Y", qi, s_need, a_size, b_size, corrupt_copies,
+            len(corrupt[0]), len(corrupt[1]), len(deleted[0]), len(deleted[1]), within,
+        ))
+    canon = list(build_euclidean_tree(ell, L).graph.edges())
+    factor = TreeFactor(ell, L, tuple(
+        TreeCopy(tuple(left), tuple(right), tuple((left[x], right[y]) for x, y in canon))
+        for left, right in copies
+    ))
+    return decompose.DecompositionTrace(
+        g.k, g.n, t, ell, L, eps, d0, sched, tuple(records),
+        left_set(deleted[0]), right_set(deleted[1]), factor,
+    )
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from([0.03, 0.2, 0.5, 0.9]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=80)
+def test_role_matrices_match_the_per_copy_loop(k, n, p, seed):
+    # p = 0.03 fails anchors, corrupts copies and empties pools.
+    g = gen_gnp(k, n, p, seed)
+    assert euclid_factor_decompose(g, 0.1) == decompose_reference(g, 0.1)
 
 
 @given(
@@ -404,9 +480,8 @@ def test_extract_thrill_rejects_a_thrill_that_reuses_a_leaf():
         """A corrupt adjacency whose only row lists right vertex 0 twice."""
 
         k, n = 1, 2
-
-        def neighbors(self, x):
-            return np.array([0, 0, 1])
+        indptr = np.array([0, 3])
+        indices = np.array([0, 0, 1])
 
     with pytest.raises(ValueError, match="leaf 0 reused"):
         extract_thrill(RepeatedRow(), left_set([0]), right_set([0, 1]), 2, Side.LEFT)
@@ -415,16 +490,28 @@ def test_extract_thrill_rejects_a_thrill_that_reuses_a_leaf():
 def _decompose_with_a_leaf_both_used_and_deleted(monkeypatch):
     """Run the decomposition with an extraction that also lists its first fan
     leaf as a leftover, so that leaf is in a copy and deleted at once."""
-    real = decompose.extract_thrill
+    real = decompose._greedy_thrill
 
-    def leaky(g, u, v, q, side):
-        ext = real(g, u, v, q, side)
-        leaf = ext.thrill.fans[0].leaves[0]
-        if side is Side.LEFT:
-            return dataclasses.replace(ext, B=right_set(ext.B.members + (leaf,)))
-        return dataclasses.replace(ext, A=left_set(ext.A.members + (leaf,)))
+    def leaky(g, anchors, pool, q):
+        fanned, leaves, failed, leftover = real(g, anchors, pool, q)
+        return fanned, leaves, failed, np.append(leftover, leaves[0, 0])
 
-    monkeypatch.setattr(decompose, "extract_thrill", leaky)
+    monkeypatch.setattr(decompose, "_greedy_thrill", leaky)
+    euclid_factor_decompose(complete_graph(6, 10), 0.1)
+
+
+def _decompose_with_a_leaf_in_two_fans(monkeypatch):
+    """Run the decomposition with an extraction whose second fan also takes
+    the first fan's first leaf."""
+    real = decompose._greedy_thrill
+
+    def reusing(g, anchors, pool, q):
+        fanned, leaves, failed, leftover = real(g, anchors, pool, q)
+        leaves = leaves.copy()
+        leaves[1, 0] = leaves[0, 0]
+        return fanned, leaves, failed, leftover
+
+    monkeypatch.setattr(decompose, "_greedy_thrill", reusing)
     euclid_factor_decompose(complete_graph(6, 10), 0.1)
 
 
@@ -433,7 +520,16 @@ def test_broken_conservation_raises(monkeypatch):
         _decompose_with_a_leaf_both_used_and_deleted(monkeypatch)
 
 
-def test_broken_conservation_raises_under_python_O():
+def test_a_reused_thrill_leaf_raises(monkeypatch):
+    # complete_graph(6, 10) has t = 2 and (ell, L) = (3, 5); its stage 1 is
+    # X-side with q = 2, so lefts 0 and 1 take rights 0, 1 and 2, 3.
+    with pytest.raises(DecompositionInvariantError, match="^stage 1: leaf 0 reused$"):
+        _decompose_with_a_leaf_in_two_fans(monkeypatch)
+
+
+def _run_under_python_O(helper: str) -> str:
+    """Standard output of a `python -O` run of the named helper of this file,
+    which prints the DecompositionInvariantError it raises."""
     script = (
         "import sys, pytest\n"
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
@@ -442,7 +538,7 @@ def test_broken_conservation_raises_under_python_O():
         "assert False, 'asserts must be off'\n"
         "with pytest.MonkeyPatch.context() as mp:\n"
         "    try:\n"
-        "        t._decompose_with_a_leaf_both_used_and_deleted(mp)\n"
+        f"        t.{helper}(mp)\n"
         "    except DecompositionInvariantError as exc:\n"
         "        print(exc)\n"
     )
@@ -457,7 +553,15 @@ def test_broken_conservation_raises_under_python_O():
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert "conservation broken" in out.stdout
+    return out.stdout
+
+
+def test_broken_conservation_raises_under_python_O():
+    assert "conservation broken" in _run_under_python_O("_decompose_with_a_leaf_both_used_and_deleted")
+
+
+def test_a_reused_thrill_leaf_raises_under_python_O():
+    assert _run_under_python_O("_decompose_with_a_leaf_in_two_fans") == "stage 1: leaf 0 reused\n"
 
 
 # ------------------------------------------------------------------ approx

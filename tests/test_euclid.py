@@ -19,6 +19,8 @@ from nmpkit import (
     trees_isomorphic,
     verify_tree_factor,
 )
+from nmpkit.euclid import FactorReport
+from nmpkit.graph import _is_int
 
 from conftest import complete_graph
 
@@ -308,3 +310,140 @@ def test_fact_bound_at_5_8():
     s = euclid_schedule(5, 8)
     assert s.complexity_bound == pytest.approx(2.078 * math.log(8) + 0.6723)
     assert s.m <= s.complexity_bound
+
+
+def verify_tree_factor_reference(host, factor, ell, L, require_spanning):
+    """verify_tree_factor as one Python loop over every copy, with a host
+    lookup per mapped edge: its form before the copies were screened as
+    role matrices."""
+    problems = []
+    if (factor.ell, factor.L) != (ell, L):
+        problems.append(f"factor declares ({factor.ell}, {factor.L}), expected ({ell}, {L})")
+    canon = list(build_euclidean_tree(ell, L).graph.edges())
+    seen_left, seen_right = {}, {}
+    for c, copy in enumerate(factor.copies):
+        if not all(map(_is_int, (*copy.left_by_role, *copy.right_by_role))):
+            problems.append(f"copy {c}: vertex is not an integer")
+            continue
+        if len(copy.left_by_role) != ell or len(set(copy.left_by_role)) != ell:
+            problems.append(f"copy {c}: left side is not {ell} distinct vertices")
+            continue
+        if len(copy.right_by_role) != L or len(set(copy.right_by_role)) != L:
+            problems.append(f"copy {c}: right side is not {L} distinct vertices")
+            continue
+        if any(not 0 <= v < host.k for v in copy.left_by_role) or any(
+            not 0 <= v < host.n for v in copy.right_by_role
+        ):
+            problems.append(f"copy {c}: vertex out of host range")
+            continue
+        for v in copy.left_by_role:
+            if v in seen_left:
+                problems.append(f"copies {seen_left[v]} and {c} share left vertex {v}")
+            seen_left[v] = c
+        for v in copy.right_by_role:
+            if v in seen_right:
+                problems.append(f"copies {seen_right[v]} and {c} share right vertex {v}")
+            seen_right[v] = c
+        if len(copy.edges) != ell + L - 1:
+            problems.append(f"copy {c}: {len(copy.edges)} edges, expected {ell + L - 1}")
+        mapped = [(copy.left_by_role[rx], copy.right_by_role[ry]) for rx, ry in canon]
+        if set(mapped) != set(copy.edges):
+            problems.append(f"copy {c}: edge set does not match the canonical tree via its role map")
+        for x, y in mapped:
+            if not host.has_edge(x, y):
+                problems.append(f"copy {c}: edge ({x}, {y}) not present in the host graph")
+    if require_spanning and not problems:
+        if len(seen_left) != host.k or len(seen_right) != host.n:
+            problems.append(
+                f"copies cover {len(seen_left)}/{host.k} left and "
+                f"{len(seen_right)}/{host.n} right vertices; not spanning"
+            )
+    return FactorReport(ok=not problems, problems=tuple(problems))
+
+
+def _tampered(host, factor, kind, i, j):
+    """host and factor with one defect of the given kind, placed by the
+    numbers i and j."""
+    ell, L = factor.ell, factor.L
+    copies = list(factor.copies)
+    c, other = i % len(copies), j % len(copies)
+    copy = copies[c]
+    side = "left_by_role" if j % 2 else "right_by_role"
+    roles = list(getattr(copy, side))
+    if kind == "host edge removed":
+        edges = list(host.edges())
+        del edges[j % len(edges):][:1]
+        return BipartiteGraph.from_edges(host.k, host.n, edges), factor
+    if kind in ("edge dropped", "edge altered"):
+        edges = list(copy.edges)
+        if not edges:
+            return host, factor
+        e = j % len(edges)
+        if kind == "edge dropped":
+            del edges[e]
+        else:
+            edges[e] = [(j % host.k, i % host.n), (0.0, 0), (host.k, 0), (0, None),
+                        (*edges[e], 0)][i % 5]
+        copies[c] = dataclasses.replace(copy, edges=tuple(edges))
+        return host, dataclasses.replace(factor, copies=tuple(copies))
+    if not roles:
+        return host, factor
+    r = i % len(roles)
+    if kind == "role permuted":
+        roles = roles[1:] + roles[:1]
+    elif kind == "vertex shared":
+        donor = getattr(copies[other], side)
+        roles[r] = donor[j % len(donor)] if donor else 0
+    elif kind == "vertex out of range":
+        roles[r] = [-1, host.k + host.n, 2**63, 2**70][j % 4]
+    elif kind == "float vertex":
+        roles[r] = float(roles[r]) if isinstance(roles[r], (int, float)) else 0.5
+    elif kind == "bool vertex":
+        roles[r] = bool(j % 2)
+    elif kind == "str vertex":
+        roles[r] = str(roles[r])
+    elif kind == "short side":
+        roles = roles[:-1]
+    else:  # a long side
+        roles = roles + [roles[0] if j % 3 else host.k * host.n]
+    copy = dataclasses.replace(copy, **{side: tuple(roles)})
+    if i % 3 == 0 and (len(copy.left_by_role), len(copy.right_by_role)) == (ell, L):
+        # The declared edges follow the roles, so only the roles are wrong.
+        canon = build_euclidean_tree(ell, L).graph.edges()
+        edges = tuple((copy.left_by_role[x], copy.right_by_role[y]) for x, y in canon)
+        copy = dataclasses.replace(copy, edges=edges)
+    copies[c] = copy
+    return host, dataclasses.replace(factor, copies=tuple(copies))
+
+
+FACTOR_TAMPERINGS = [
+    "role permuted", "vertex shared", "vertex out of range", "float vertex", "bool vertex",
+    "str vertex", "short side", "long side", "edge dropped", "edge altered", "host edge removed",
+]
+
+
+@given(
+    st.sampled_from([(1, 1), (1, 3), (2, 3), (3, 5), (5, 8)]),
+    st.integers(1, 5),
+    st.booleans(),
+    st.lists(
+        st.tuples(st.sampled_from(FACTOR_TAMPERINGS), st.integers(0, 999), st.integers(0, 999)),
+        max_size=4,
+    ),
+    st.booleans(),
+)
+# Only a shared vertex is wrong: copy 0 takes the right vertex of role 1 of
+# copy 1, its declared edges follow, and the host is complete.
+@example((2, 3), 2, True, [("vertex shared", 0, 0)], False)
+@example((3, 5), 3, False, [("vertex out of range", 1, 2), ("host edge removed", 0, 4)], True)
+def test_verify_tree_factor_matches_the_loop_reference(shape, count, complete, tamperings, spanning):
+    # On the disjoint copies alone, a wrong role map also misses host edges;
+    # on the complete host it only breaks the edge-set match.
+    ell, L = shape
+    host, factor = _factor_of_disjoint_copies(ell, L, count)
+    if complete:
+        host = complete_graph(host.k, host.n)
+    for kind, i, j in tamperings:
+        host, factor = _tampered(host, factor, kind, i, j)
+    got = verify_tree_factor(host, factor, ell, L, require_spanning=spanning)
+    assert got == verify_tree_factor_reference(host, factor, ell, L, spanning)

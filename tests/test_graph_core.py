@@ -689,6 +689,45 @@ def test_from_edges_takes_an_integer_array_as_its_list_of_pairs(g, rnd, dtype):
             BipartiteGraph.from_edges(g.k, g.n, np.vstack([pairs, pairs[:1]]))
 
 
+@pytest.mark.parametrize("k, n, edges, message", [
+    (3, 4, np.array([[2**63, 0]], dtype=np.uint64), f"left index {2**63} out of range [0, 3)"),
+    (3, 4, np.array([[0, 2**64 - 1]], dtype=np.uint64), f"right index {2**64 - 1} out of range [0, 4)"),
+    (3, 4, [(2**63, 0)], f"left index {2**63} out of range [0, 3)"),
+    (3, 4, [(0, 1), (-2**63 - 1, 0)], f"left index {-2**63 - 1} out of range [0, 3)"),
+])
+def test_from_edges_names_an_endpoint_past_int64_as_given(k, n, edges, message):
+    with pytest.raises(ValueError) as err:
+        BipartiteGraph.from_edges(k, n, edges)
+    assert str(err.value) == message
+
+
+@st.composite
+def row_queries(draw):
+    """A graph and queries (xs, ys): left vertices, and right values from
+    before the first column to past the last."""
+    g = draw(bipartite_graphs(max_k=6, max_n=8))
+    count = draw(st.integers(0, 30))
+    xs = draw(st.lists(st.integers(0, g.k - 1), min_size=count, max_size=count))
+    ys = draw(st.lists(st.integers(-2, g.n + 1), min_size=count, max_size=count))
+    return g, xs, ys
+
+
+@given(row_queries())
+@example((BipartiteGraph.from_edges(2, 3, []), [0, 1, 1], [0, 2, -1]))  # no edges
+@example((complete_graph(2, 3), [], []))  # no queries
+# Row 0 is empty; row 1 holds the first and the last column, and 1 and 2
+# fall between them.
+@example((BipartiteGraph.from_edges(2, 4, [(1, 0), (1, 3)]), [0, 0, 1, 1, 1, 1, 1, 1],
+          [0, 3, -1, 0, 1, 2, 3, 4]))
+def test_row_search_matches_has_edge(query):
+    g, xs, ys = query
+    pos, found = graph._row_search(g, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64))
+    assert found.tolist() == [g.has_edge(x, y) for x, y in zip(xs, ys)]
+    assert pos.tolist() == [
+        int(g.indptr[x]) + int(np.searchsorted(g.neighbors(x), y)) for x, y in zip(xs, ys)
+    ]
+
+
 def test_sides_too_large_for_int64_edge_keys_rejected():
     with pytest.raises(ValueError, match="int64"):
         BipartiteGraph.from_edges(2**32, 2**32, [])
